@@ -270,24 +270,20 @@ func (s *Simulator) snapshot() *Checkpoint {
 		return i
 	}
 
-	linkName := make(map[*link]string, len(s.links))
-	for name, l := range s.links {
-		linkName[l] = name
-	}
-
-	ck.Events = make([]EventState, len(s.events.ev))
-	for i := range s.events.ev {
-		e := &s.events.ev[i]
+	// Events in heap-array (key) order, so Resume rebuilds the same shape.
+	ck.Events = make([]EventState, s.events.len())
+	for i, k := range s.events.keys {
+		e := &s.events.slab[k.slot]
 		es := EventState{
 			Time: e.time, Seq: e.seq, Pkt: register(e.pkt),
-			From: e.from, A: e.a, B: e.b, Flow: e.flow,
+			Node: e.node.name(), From: e.from.name(), A: e.a, B: e.b, Flow: e.flow,
 			Idx: e.idx, Kind: uint8(e.kind),
 		}
-		if e.node != nil {
-			es.Node = e.node.v.Name
-		}
-		if e.link != nil {
-			es.Link = linkName[e.link]
+		if e.kind == evLinkRestore {
+			// The link is named by its fault. From repeats the name:
+			// checkpoint format version 1 records it there.
+			es.Link = s.cfg.Faults[e.idx].Link
+			es.From = es.Link
 		}
 		ck.Events[i] = es
 	}
@@ -487,35 +483,56 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 	// Event heap, restored in array order: the serialized slice was a
 	// valid heap, and an identical array replays the identical pop
 	// sequence (the (time, seq) order is total either way).
-	s.events.ev = make([]event, len(ck.Events))
-	for i, es := range ck.Events {
-		p, err := pkt(es.Pkt)
-		if err != nil {
-			return nil, err
+	vertex := func(i int, name string) (*node, error) {
+		if name == "" {
+			return nil, nil
 		}
-		e := event{
-			time: es.Time, seq: es.Seq, pkt: p, from: es.From,
+		n, ok := s.nodes[name]
+		if !ok {
+			return nil, fmt.Errorf("sim: checkpoint event %d names unknown vertex %q", i, name)
+		}
+		return n, nil
+	}
+	evs := make([]event, len(ck.Events))
+	for i, es := range ck.Events {
+		e := &evs[i]
+		*e = event{
+			time: es.Time, seq: es.Seq,
 			a: es.A, b: es.B, flow: es.Flow, idx: es.Idx, kind: eventKind(es.Kind),
 		}
-		if es.Node != "" {
-			n, ok := s.nodes[es.Node]
-			if !ok {
-				return nil, fmt.Errorf("sim: checkpoint event %d names unknown vertex %q", i, es.Node)
-			}
-			e.node = n
+		if e.pkt, err = pkt(es.Pkt); err != nil {
+			return nil, err
+		}
+		if e.node, err = vertex(i, es.Node); err != nil {
+			return nil, err
 		}
 		if es.Link != "" {
-			l, ok := s.links[es.Link]
-			if !ok {
+			if _, ok := s.links[es.Link]; !ok {
 				return nil, fmt.Errorf("sim: checkpoint event %d names unknown link %q", i, es.Link)
 			}
-			e.link = l
 		}
-		if e.kind == evFault && (e.idx < 0 || int(e.idx) >= len(cfg.Faults)) {
-			return nil, fmt.Errorf("sim: checkpoint event %d fault index %d out of range", i, e.idx)
+		switch e.kind {
+		case evFault:
+			if e.idx < 0 || int(e.idx) >= len(cfg.Faults) {
+				return nil, fmt.Errorf("sim: checkpoint event %d fault index %d out of range", i, e.idx)
+			}
+		case evLinkRestore:
+			// From echoes the link name here (see snapshot); the restore
+			// finds its link through the fault it undoes.
+			if e.idx < 0 || int(e.idx) >= len(cfg.Faults) {
+				return nil, fmt.Errorf("sim: checkpoint event %d link-restore fault index %d out of range", i, e.idx)
+			}
+			if f := cfg.Faults[e.idx]; f.Kind != LinkDegrade || f.Link != es.Link {
+				return nil, fmt.Errorf("sim: checkpoint event %d restores link %q, but fault %d is %v on %q",
+					i, es.Link, e.idx, f.Kind, f.Link)
+			}
+		default:
+			if e.from, err = vertex(i, es.From); err != nil {
+				return nil, err
+			}
 		}
-		s.events.ev[i] = e
 	}
+	s.events.load(evs)
 
 	s.now = ck.Now
 	s.seq = ck.Seq

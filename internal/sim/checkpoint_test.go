@@ -9,6 +9,7 @@ package sim_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"lognic/internal/sim"
@@ -186,5 +187,64 @@ func TestResumeBudgetSpansLogicalRun(t *testing.T) {
 	}
 	if _, err := s.Run(); !errors.Is(err, sim.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// Resume rejects checkpoint events whose references do not resolve
+// against the config instead of guessing: an upstream vertex that does not
+// exist (once silently routed to WRR queue 0), a link that does not exist,
+// and a link restore whose fault index falls outside the schedule (the
+// restore looks its link up through that fault).
+func TestResumeRejectsDanglingEventRefs(t *testing.T) {
+	cfg := goldenScenarios(t, goldenDevices(t)[0], 3)["faults-retry"]
+	_, cks := captureCheckpoints(t, cfg, 3000)
+	// The first checkpoint taken while the timed LinkDegrade is in force
+	// holds its pending restore (the only event naming a link) and, like
+	// every mid-run snapshot, packets in transfer from an upstream vertex.
+	var encoded []byte
+	restore, arrive := -1, -1
+	for _, b := range cks {
+		ck, err := sim.DecodeCheckpoint(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restore, arrive = -1, -1
+		for i, e := range ck.Events {
+			switch {
+			case e.Link != "":
+				restore = i
+			case e.From != "":
+				arrive = i
+			}
+		}
+		if restore >= 0 && arrive >= 0 {
+			encoded = b
+			break
+		}
+	}
+	if encoded == nil {
+		t.Fatal("no checkpoint holds both a pending link restore and an in-transfer arrival")
+	}
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(*sim.Checkpoint)
+	}{
+		{"unknown from", "unknown vertex", func(c *sim.Checkpoint) { c.Events[arrive].From = "no-such-vertex" }},
+		{"unknown link", "unknown link", func(c *sim.Checkpoint) { c.Events[restore].Link = "no-such-link" }},
+		{"restore index past schedule", "out of range", func(c *sim.Checkpoint) { c.Events[restore].Idx = int32(len(cfg.Faults)) }},
+		{"negative restore index", "out of range", func(c *sim.Checkpoint) { c.Events[restore].Idx = -1 }},
+	} {
+		ck, err := sim.DecodeCheckpoint(encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Resume(cfg, ck); err != nil {
+			t.Fatalf("%s: unmodified checkpoint rejected: %v", tc.name, err)
+		}
+		tc.mutate(ck)
+		_, err = sim.Resume(cfg, ck)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Resume err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -237,7 +237,7 @@ func (s *Simulator) applyFault(f Fault, idx int32) {
 		s.faults.LinkDegradeEvents++
 		s.traceFault(TraceFaultInject, f.Link)
 		if f.Duration > 0 {
-			s.schedule(s.now+f.Duration, event{kind: evLinkRestore, link: l, from: f.Link, idx: idx})
+			s.schedule(s.now+f.Duration, event{kind: evLinkRestore, idx: idx})
 		}
 	case VertexStall:
 		n := s.nodes[f.Vertex]
@@ -251,8 +251,10 @@ func (s *Simulator) applyFault(f Fault, idx int32) {
 	}
 }
 
-// restoreLink ends a timed LinkDegrade: the evLinkRestore action.
-func (s *Simulator) restoreLink(l *link, name string) {
+// restoreLink ends a timed LinkDegrade of the named link: the
+// evLinkRestore action.
+func (s *Simulator) restoreLink(name string) {
+	l := s.links[name]
 	l.bandwidth = l.healthy
 	s.faults.LinkRestores++
 	s.traceFault(TraceFaultRecover, name)

@@ -1,10 +1,13 @@
 package sim
 
-// FuzzEventQueue (ISSUE 4 satellite) drives random schedule/pop sequences
-// through the specialized 4-ary value heap and a container/heap oracle
-// with the seed engine's exact Less, asserting both dequeue the identical
-// (time, seq) order. This is the determinism contract the golden digests
-// rely on, checked structurally instead of end-to-end.
+// FuzzEventQueue drives random schedule/pop sequences through the 4-ary
+// key/slab event heap and a container/heap oracle with the seed engine's
+// exact Less, asserting both dequeue the identical (time, seq) order. This
+// is the determinism contract the golden digests rely on, checked
+// structurally instead of end-to-end. Each event carries a payload
+// (idx = seq) that must come back with its key, and the slab must never
+// outgrow the queue's peak length: interleaved pushes and pops force slot
+// reuse through the free list.
 
 import (
 	"container/heap"
@@ -46,12 +49,17 @@ func FuzzEventQueue(f *testing.F) {
 		var q eventQueue
 		var o oracleHeap
 		var seq uint64
+		var peak int
 		check := func() {
-			got := q.pop()
+			var got event
+			q.pop(&got)
 			want := heap.Pop(&o).(*oracleEvent)
 			if got.time != want.time || got.seq != want.seq {
 				t.Fatalf("dequeue order diverged: got (%v, %d), oracle (%v, %d)",
 					got.time, got.seq, want.time, want.seq)
+			}
+			if uint64(got.idx) != got.seq {
+				t.Fatalf("payload idx %d popped with key seq %d", got.idx, got.seq)
 			}
 		}
 		for _, b := range data {
@@ -63,8 +71,12 @@ func FuzzEventQueue(f *testing.F) {
 			// tiebreak — the determinism anchor — is exercised hard.
 			seq++
 			tm := float64(b>>4) / 4
-			q.push(event{time: tm, seq: seq})
+			q.push(&event{time: tm, seq: seq, idx: int32(seq)})
 			heap.Push(&o, &oracleEvent{time: tm, seq: seq})
+			peak = max(peak, q.len())
+			if len(q.slab) > peak {
+				t.Fatalf("slab grew to %d slots, peak queue length %d", len(q.slab), peak)
+			}
 		}
 		if q.len() != o.Len() {
 			t.Fatalf("length diverged: %d vs %d", q.len(), o.Len())

@@ -5,7 +5,7 @@ package sim_test
 // real device catalog (LiquidIO-II CN2360 and BlueField-2) and digests the
 // full Result plus the complete packet trace stream. The digests committed
 // in testdata/golden_digests.json were recorded from the seed
-// container/heap engine; the specialized 4-ary value-heap engine must
+// container/heap engine; the specialized 4-ary key/slab heap engine must
 // reproduce every one bit-for-bit at every seed — the byte-identical
 // contract of docs/SIM.md. Refresh intentionally changed goldens with:
 //

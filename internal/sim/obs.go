@@ -1,12 +1,16 @@
 package sim
 
 // Observability wiring: packet-span emission and metric registration.
-// Everything here is gated on Config.Spans / Config.Metrics being set, so
-// a run with observability disabled pays only nil checks on the hot path
-// (budgeted at <5% overhead; see BenchmarkTracingDisabled at the repo
-// root). Spans and metrics observe the run — they never consume simulator
-// randomness or alter event order, so instrumented and bare runs produce
-// identical Results for equal seeds.
+// Everything here is gated on Config.Spans / Config.Metrics being set.
+// Span arguments are passed as scalars and the span's args map is built
+// only after the Spans nil check, and transfer-span names are precomputed
+// in New, so a run without Spans allocates nothing per event (pinned by
+// TestSteadyStateAllocFree; BenchmarkTracingDisabled at the repo root
+// budgets its time). Metrics, when set, cost a few locked counter and
+// histogram updates per packet, resolved to handles in New. Spans and
+// metrics observe the run — they never consume simulator randomness or
+// alter event order, so instrumented and bare runs produce identical
+// Results for equal seeds.
 
 import (
 	"lognic/internal/obs"
@@ -85,10 +89,27 @@ func (s *Simulator) span(name, cat string, p *packet, start, dur float64, args m
 	})
 }
 
+// visitEnd says how a vertex visit ended; it selects the vertex span's args.
+type visitEnd uint8
+
+const (
+	visitDepart  visitEnd = iota // args: size
+	visitDrop                    // args: size, drop
+	visitDeliver                 // args: size, latency
+)
+
 // spanVertex closes the parent span of one vertex visit: arrival to now.
-func (s *Simulator) spanVertex(n *node, p *packet, args map[string]any) {
+// The args map is built only when tracing is on.
+func (s *Simulator) spanVertex(n *node, p *packet, end visitEnd) {
 	if s.cfg.Spans == nil {
 		return
+	}
+	args := map[string]any{"size": p.size}
+	switch end {
+	case visitDrop:
+		args["drop"] = true
+	case visitDeliver:
+		args["latency"] = s.now - p.born
 	}
 	s.span(n.v.Name, obs.CatVertex, p, p.arrived, s.now-p.arrived, args)
 }

@@ -3,18 +3,18 @@ package sim
 // Sharded event engine: a conservative-lookahead parallel DES over the
 // domains partition.go carves out of the execution graph.
 //
-// Each domain runs the unmodified serial machinery — the 4-ary value
-// heap, packet free list and ring queues of the PR 4 engine — on its own
-// goroutine, over its own vertices, links and statistics. Domains
-// synchronize with a bounded-lag barrier window (the YAWNS scheme): every
-// round the coordinator computes the global floor (minimum heap top over
-// all domains) and releases each domain to process events strictly below
-// floor+Lmin, where Lmin is the minimum cross-domain edge lookahead. A
-// packet crossing domains departs at its source no earlier than the
-// current event time plus the edge's computation-transfer overhead
-// (≥ Lmin), so every cross event lands at or beyond the window end —
-// no domain ever receives a straggler, and floors strictly increase,
-// which is the liveness argument.
+// Each domain runs the unmodified serial machinery — the 4-ary key/slab
+// event heap, packet free list and ring queues of events.go and queues.go
+// — on its own goroutine, over its own vertices, links and statistics.
+// Domains synchronize with a bounded-lag barrier window (the YAWNS
+// scheme): every round the coordinator computes the global floor (minimum
+// heap top over all domains) and releases each domain to process events
+// strictly below floor+Lmin, where Lmin is the minimum cross-domain edge
+// lookahead. A packet crossing domains departs at its source no earlier
+// than the current event time plus the edge's computation-transfer
+// overhead (≥ Lmin), so every cross event lands at or beyond the window
+// end — no domain ever receives a straggler, and floors strictly
+// increase, which is the liveness argument.
 //
 // Determinism contract. In sharded mode the heap key (event.seq) is not a
 // schedule counter but an intrinsic, partition-invariant identity:
@@ -170,7 +170,7 @@ func (s *Simulator) receive(m *xmsg) {
 		p = new(packet)
 	}
 	*p = packet{id: m.id, size: m.size, born: m.born, flow: m.flow, measure: m.measure, retries: m.retries}
-	s.schedule(m.t, event{kind: evArriveAt, node: s.nodes[m.to], from: m.from, pkt: p})
+	s.schedule(m.t, event{kind: evArriveAt, node: s.nodes[m.to], from: s.nodes[m.from], pkt: p})
 }
 
 // addTrace buffers one trace event for the deterministic post-run replay.
@@ -230,11 +230,12 @@ func (r *shardedRun) flush(sh *shardCtx) {
 func (r *shardedRun) processWindow(d *Simulator, horizon float64) {
 	sh := d.sh
 	dur := d.cfg.Duration
+	var e event
 	for d.events.len() > 0 {
-		if top := d.events.ev[0].time; top >= horizon || top > dur {
+		if top := d.events.next(); top >= horizon || top > dur {
 			return
 		}
-		e := d.events.pop()
+		d.events.pop(&e)
 		if e.time > d.now {
 			sh.stalled = 0
 		} else if sh.stalled++; sh.stalled > stallWindow {
@@ -342,8 +343,8 @@ func (s *Simulator) runSharded(ctx context.Context) (Result, error) {
 		}
 		floor := math.Inf(1)
 		for _, d := range doms {
-			if d.events.len() > 0 && d.events.ev[0].time < floor {
-				floor = d.events.ev[0].time
+			if d.events.len() > 0 && d.events.next() < floor {
+				floor = d.events.next()
 			}
 		}
 		if floor > s.cfg.Duration {

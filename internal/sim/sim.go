@@ -417,9 +417,11 @@ type queued struct {
 
 // routeChoice is one outgoing edge with its cumulative routing probability
 // and precomputed transfer byte counts per packet byte. toNode is resolved
-// once in New so the hot path never touches the name→node map.
+// once in New so the hot path never touches the name→node map, and span
+// is the edge's transfer-span name, built once so depart never allocates.
 type routeChoice struct {
 	to          string
+	span        string
 	toNode      *node
 	cum         float64
 	intfPerByte float64 // bytes over interface per packet byte
@@ -618,7 +620,7 @@ func New(cfg Config) (*Simulator, error) {
 			if i == len(out)-1 {
 				cum = 1 // guard drift
 			}
-			rc := routeChoice{to: e.To, cum: cum, overhead: v.Overhead}
+			rc := routeChoice{to: e.To, span: "->" + e.To, cum: cum, overhead: v.Overhead}
 			ep := edgeP[[2]string{e.From, e.To}]
 			if ep > 0 {
 				rc.intfPerByte = e.Alpha / ep
@@ -645,7 +647,7 @@ func New(cfg Config) (*Simulator, error) {
 	// Preallocate the event queue: pending events at any instant are
 	// bounded by in-flight work (one per busy engine, transfer, retry and
 	// scheduled fault), which starts well under this and grows amortized.
-	s.events.ev = make([]event, 0, 256+len(cfg.Faults))
+	s.events = newEventQueue(256 + len(cfg.Faults))
 
 	// Ingress selection probabilities: share of path weight starting at
 	// each ingress.
@@ -755,6 +757,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	// MaxEvents budget spans the whole logical run.
 
 	var stalled int
+	var e event
 	for s.events.len() > 0 {
 		if s.processed%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -778,7 +781,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				return Result{}, fmt.Errorf("sim: checkpoint sink at t=%v: %w", s.now, err)
 			}
 		}
-		e := s.events.pop()
+		s.events.pop(&e)
 		if e.time > s.cfg.Duration {
 			break
 		}
@@ -841,7 +844,7 @@ func (s *Simulator) arrivalPump(size float64, flow uint64) {
 		s.metrics.offered.Inc()
 	}
 	ing := s.pickIngress()
-	s.arriveAt(ing, "", p)
+	s.arriveAt(ing, nil, p)
 
 	next := s.gen.Next()
 	if next.Time <= s.cfg.Duration {
@@ -862,9 +865,9 @@ func (s *Simulator) pickIngress() *node {
 	return s.ingressPk[len(s.ingressPk)-1].n
 }
 
-// arriveAt delivers a packet to a vertex; from names the upstream vertex
-// (empty for fresh ingress arrivals).
-func (s *Simulator) arriveAt(n *node, from string, p *packet) {
+// arriveAt delivers a packet to a vertex; from is the upstream vertex (nil
+// for fresh ingress arrivals).
+func (s *Simulator) arriveAt(n *node, from *node, p *packet) {
 	name := n.v.Name
 	p.arrived = s.now
 	if p.measure {
@@ -884,7 +887,7 @@ func (s *Simulator) arriveAt(n *node, from string, p *packet) {
 		s.startService(n, p, 0)
 		return
 	}
-	if !n.queue.push(from, queued{p: p, enqueued: s.now}) {
+	if !n.queue.push(from.name(), queued{p: p, enqueued: s.now}) {
 		// Full queue: re-issue under the vertex's retry policy, if any
 		// budget remains — modelling a host retrying a rejected DMA or
 		// doorbell — otherwise drop.
@@ -915,7 +918,7 @@ func (s *Simulator) arriveAt(n *node, from string, p *packet) {
 		if n.droppedC != nil {
 			n.droppedC.Inc()
 		}
-		s.spanVertex(n, p, map[string]any{"drop": true, "size": p.size})
+		s.spanVertex(n, p, visitDrop)
 		s.trace(TraceDrop, name, p)
 		s.freePacket(p)
 		return
@@ -996,7 +999,7 @@ func (s *Simulator) depart(n *node, p *packet) {
 		return
 	}
 	s.trace(TraceDepart, n.v.Name, p)
-	s.spanVertex(n, p, map[string]any{"size": p.size})
+	s.spanVertex(n, p, visitDepart)
 	rc := s.pickRoute(n, p)
 	t := s.now + rc.overhead
 	if s.intf != nil && rc.intfPerByte > 0 {
@@ -1009,50 +1012,54 @@ func (s *Simulator) depart(n *node, p *packet) {
 		t = rc.dedicated.transfer(t, p.size*rc.dedPerByte)
 	}
 	if t > s.now {
-		s.span("->"+rc.to, obs.CatTransfer, p, s.now, t-s.now, nil)
+		s.span(rc.span, obs.CatTransfer, p, s.now, t-s.now, nil)
 	}
 	if rc.remote {
 		// Cross-domain edge on a sharded run: hand the packet to the
 		// owning domain. t ≥ now + overhead ≥ the window horizon, so the
 		// receiver can never see a straggler.
-		s.sendRemote(&rc, n.v.Name, t, p)
+		s.sendRemote(rc, n.v.Name, t, p)
 		return
 	}
-	s.schedule(t, event{kind: evArriveAt, node: rc.toNode, from: n.v.Name, pkt: p})
+	s.schedule(t, event{kind: evArriveAt, node: rc.toNode, from: n, pkt: p})
 }
 
 // pickRoute chooses the outgoing edge per the vertex's routing policy.
-func (s *Simulator) pickRoute(n *node, p *packet) routeChoice {
-	if len(n.outEdges) == 1 {
-		return n.outEdges[0]
+func (s *Simulator) pickRoute(n *node, p *packet) *routeChoice {
+	out := n.outEdges
+	if len(out) == 1 {
+		return &out[0]
 	}
+	var u float64
 	switch n.policy {
 	case RouteJSQ:
-		best := n.outEdges[0]
-		bestLoad := best.toNode.load()
-		for _, c := range n.outEdges[1:] {
-			if l := c.toNode.load(); l < bestLoad {
-				best, bestLoad = c, l
+		best := 0
+		bestLoad := out[0].toNode.load()
+		for i := 1; i < len(out); i++ {
+			if l := out[i].toNode.load(); l < bestLoad {
+				best, bestLoad = i, l
 			}
 		}
-		return best
+		return &out[best]
 	case RouteFlowHash:
-		u := splitmix(p.flow)
-		for _, c := range n.outEdges {
-			if u <= c.cum {
-				return c
-			}
-		}
-		return n.outEdges[len(n.outEdges)-1]
+		u = splitmix(p.flow)
 	default:
-		u := s.rng.Float64()
-		for _, c := range n.outEdges {
-			if u <= c.cum {
-				return c
-			}
-		}
-		return n.outEdges[len(n.outEdges)-1]
+		u = s.rng.Float64()
 	}
+	for i := range out {
+		if u <= out[i].cum {
+			return &out[i]
+		}
+	}
+	return &out[len(out)-1]
+}
+
+// name is the vertex name, "" for a nil node (no upstream vertex).
+func (n *node) name() string {
+	if n == nil {
+		return ""
+	}
+	return n.v.Name
 }
 
 // load is the JSQ metric: requests queued or in service at the vertex.
@@ -1067,7 +1074,7 @@ func splitmix(x uint64) float64 {
 
 func (s *Simulator) complete(n *node, p *packet) {
 	s.trace(TraceDeliver, n.v.Name, p)
-	s.spanVertex(n, p, map[string]any{"size": p.size, "latency": s.now - p.born})
+	s.spanVertex(n, p, visitDeliver)
 	if s.metrics != nil {
 		s.metrics.delivered.Inc()
 		s.metrics.latency.Observe(s.now - p.born)

@@ -10,7 +10,7 @@
 // event queue, the RNG stream discipline, or the statistics pipeline that
 // alters even one bit of one result flips a digest and fails the suite.
 // The committed goldens were recorded from the pre-optimization
-// container/heap engine, so they prove the specialized 4-ary value-heap
+// container/heap engine, so they prove the specialized 4-ary key/slab heap
 // engine replays the exact event sequence the seed engine produced.
 //
 // Refreshing goldens after an intentional behavior change:
