@@ -49,34 +49,78 @@ var ErrRecordTooLarge = errors.New("jobs: journal record exceeds size cap")
 // frame corruption (I/O failures) are returned alongside the records
 // recovered so far.
 func ReplayRecords(r io.Reader) (records [][]byte, goodBytes int64, err error) {
-	br := bufio.NewReader(r)
-	var head [8]byte
-	for {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, goodBytes, nil // clean end or torn header
-			}
-			return records, goodBytes, err
-		}
-		n := binary.LittleEndian.Uint32(head[0:4])
-		sum := binary.LittleEndian.Uint32(head[4:8])
-		if n > maxRecordLen {
-			return records, goodBytes, nil // corrupt length field
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, goodBytes, nil // torn payload
-			}
-			return records, goodBytes, err
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return records, goodBytes, nil // bit rot or torn overwrite
-		}
-		records = append(records, payload)
-		goodBytes += 8 + int64(n)
+	sc := NewFrameScanner(r)
+	for sc.Scan() {
+		records = append(records, sc.Record())
 	}
+	return records, sc.Offset(), sc.Err()
 }
+
+// FrameScanner reads CRC-framed records one at a time, so a consumer can
+// act on each record as it arrives instead of holding the whole stream:
+// at most one record (≤ maxRecordLen) is buffered. It ends where
+// ReplayRecords does — at EOF or the first corrupt frame (a short
+// header, an oversized length field, a torn payload, a CRC mismatch) —
+// and only I/O failures surface from Err.
+type FrameScanner struct {
+	br   *bufio.Reader
+	rec  []byte
+	good int64
+	err  error
+	done bool
+}
+
+// NewFrameScanner scans CRC-framed records from r.
+func NewFrameScanner(r io.Reader) *FrameScanner {
+	return &FrameScanner{br: bufio.NewReader(r)}
+}
+
+// Scan advances to the next intact frame, reporting false once the
+// intact prefix is exhausted.
+func (s *FrameScanner) Scan() bool {
+	if s.done {
+		return false
+	}
+	var head [8]byte
+	if _, err := io.ReadFull(s.br, head[:]); err != nil {
+		return s.stop(err) // clean end or torn header
+	}
+	n := binary.LittleEndian.Uint32(head[0:4])
+	sum := binary.LittleEndian.Uint32(head[4:8])
+	if n > maxRecordLen {
+		return s.stop(nil) // corrupt length field
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(s.br, payload); err != nil {
+		return s.stop(err) // torn payload
+	}
+	if crc32.Checksum(payload, crcTable) != sum {
+		return s.stop(nil) // bit rot or torn overwrite
+	}
+	s.rec = payload
+	s.good += 8 + int64(n)
+	return true
+}
+
+// stop ends the scan. EOF mid-frame is the torn-tail signature, not an
+// error; any other read failure is kept for Err.
+func (s *FrameScanner) stop(err error) bool {
+	s.done, s.rec = true, nil
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		s.err = err
+	}
+	return false
+}
+
+// Record is the payload of the frame Scan just read. Every frame gets a
+// fresh buffer, so the caller may keep it.
+func (s *FrameScanner) Record() []byte { return s.rec }
+
+// Offset is the byte length of the intact frames scanned so far.
+func (s *FrameScanner) Offset() int64 { return s.good }
+
+// Err is the I/O error that ended the scan, nil for EOF or corruption.
+func (s *FrameScanner) Err() error { return s.err }
 
 // Journal is an append-only CRC-framed record log.
 type Journal struct {
@@ -125,7 +169,7 @@ func frameHeader(payload []byte) []byte {
 
 // WriteFrame writes one CRC-framed record to w in the journal's frame
 // format (len u32 | crc32c u32 | payload, little-endian). It is the
-// streaming counterpart of ReplayRecords for consumers that frame records
+// writing counterpart of FrameScanner for consumers that frame records
 // over something other than the job journal — lognic-serve's cache
 // snapshots use it so a snapshot stream gets the same torn-tail and
 // bit-rot detection the journal has.

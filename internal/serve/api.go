@@ -250,51 +250,67 @@ func (s *Server) prepareOptimize(body []byte) (prepared, error) {
 
 // prepareSimulate decodes and validates a simulate request.
 func (s *Server) prepareSimulate(body []byte) (prepared, error) {
-	var req SimulateRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return prepared{}, err
-	}
-	m, err := req.Spec.Model()
+	req, cfg, err := s.decodeSimulate(body)
 	if err != nil {
-		return prepared{}, badRequest{err}
-	}
-	if req.Duration <= 0 {
-		return prepared{}, badRequest{fmt.Errorf("serve: simulate needs duration > 0 seconds")}
-	}
-	maxEvents := req.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = s.cfg.MaxSimEvents
+		return prepared{}, err
 	}
 	key, err := cacheKey("simulate", req)
 	if err != nil {
 		return prepared{}, err
 	}
 	return prepared{key: key, run: func(ctx context.Context) (any, error) {
-		cfg := sim.Config{
-			Graph:    m.Graph,
-			Hardware: m.Hardware,
-			Profile: traffic.Fixed(m.Graph.Name(),
-				unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
-			Seed:                 req.Seed,
-			Duration:             req.Duration,
-			Warmup:               req.Warmup,
-			DeterministicService: req.Deterministic,
-			MaxEvents:            maxEvents,
-			Shards:               req.Shards,
-		}
-		// Synchronous simulations join the request's trace: vertex spans
-		// parent under the server's request span. (Cache hits skip the
-		// evaluation entirely, so a traced run is only guaranteed on a
-		// cold key.)
-		if tc, ok := obs.TraceFromContext(ctx); ok {
-			cfg.TraceID = tc.TraceID
-			cfg.ParentSpanID = tc.SpanID
-			cfg.Spans = s.cfg.Tracer
-		}
+		// Synchronous simulations join the request's trace. (Cache hits
+		// skip the evaluation entirely, so a traced run is only guaranteed
+		// on a cold key.)
+		cfg := s.traceSim(ctx, cfg)
 		sm, err := sim.New(cfg)
 		if err != nil {
 			return nil, badRequest{err}
 		}
 		return sm.RunContext(ctx)
 	}}, nil
+}
+
+// decodeSimulate decodes and validates a simulate request into the
+// simulator config that runs it — shared by /v1/simulate and async
+// simulate jobs, so both run the same simulation for the same body.
+func (s *Server) decodeSimulate(body []byte) (SimulateRequest, sim.Config, error) {
+	var req SimulateRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return req, sim.Config{}, err
+	}
+	m, err := req.Spec.Model()
+	if err != nil {
+		return req, sim.Config{}, badRequest{err}
+	}
+	if req.Duration <= 0 {
+		return req, sim.Config{}, badRequest{fmt.Errorf("serve: simulate needs duration > 0 seconds")}
+	}
+	maxEvents := req.MaxEvents
+	if maxEvents == 0 {
+		maxEvents = s.cfg.MaxSimEvents
+	}
+	return req, sim.Config{
+		Graph:    m.Graph,
+		Hardware: m.Hardware,
+		Profile: traffic.Fixed(m.Graph.Name(),
+			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
+		Seed:                 req.Seed,
+		Duration:             req.Duration,
+		Warmup:               req.Warmup,
+		DeterministicService: req.Deterministic,
+		MaxEvents:            maxEvents,
+		Shards:               req.Shards,
+	}, nil
+}
+
+// traceSim joins a simulation to the trace on ctx: its vertex spans
+// parent under the span that launched it (a request or a job attempt).
+func (s *Server) traceSim(ctx context.Context, cfg sim.Config) sim.Config {
+	if tc, ok := obs.TraceFromContext(ctx); ok {
+		cfg.TraceID = tc.TraceID
+		cfg.ParentSpanID = tc.SpanID
+		cfg.Spans = s.cfg.Tracer
+	}
+	return cfg
 }

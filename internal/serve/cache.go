@@ -17,6 +17,9 @@ import (
 // toward the budget because the L1 request index uses whole request
 // bodies as keys — there, the keys ARE the memory. Eviction is strict
 // LRU under both limits.
+//
+// A nil *lruCache is a disabled cache: Get always misses and Put stores
+// nothing.
 type lruCache struct {
 	mu       sync.Mutex
 	maxN     int
@@ -47,6 +50,9 @@ func newLRU(maxEntries int, maxBytes int64) *lruCache {
 
 // Get returns the cached body and marks the entry most recently used.
 func (c *lruCache) Get(key string) ([]byte, bool) {
+	if c == nil {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -64,6 +70,9 @@ func (c *lruCache) Get(key string) ([]byte, bool) {
 // reports whether the body was stored. The caller must not mutate body
 // afterwards.
 func (c *lruCache) Put(key string, body []byte) bool {
+	if c == nil {
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxBytes > 0 && int64(len(key))+int64(len(body)) > c.maxBytes {

@@ -24,10 +24,7 @@ import (
 	"time"
 
 	"lognic/internal/jobs"
-	"lognic/internal/obs"
 	"lognic/internal/sim"
-	"lognic/internal/traffic"
-	"lognic/internal/unit"
 )
 
 // jobKinds maps a submission kind to its request preparer (validation +
@@ -273,52 +270,26 @@ func (s *Server) evalJob(ctx context.Context, id, kind string, body []byte, ck j
 // snapshots go to the job's checkpoint slot, and an attempt that finds a
 // snapshot resumes from it instead of starting over.
 func (s *Server) runSimulateJob(ctx context.Context, id string, body []byte, ck jobs.CheckpointStore) (any, error) {
-	var req SimulateRequest
-	if err := decodeStrict(body, &req); err != nil {
+	_, cfg, err := s.decodeSimulate(body)
+	if err != nil {
 		return nil, err
 	}
-	m, err := req.Spec.Model()
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if req.Duration <= 0 {
-		return nil, badRequest{fmt.Errorf("serve: simulate needs duration > 0 seconds")}
-	}
-	maxEvents := req.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = s.cfg.MaxSimEvents
-	}
-	cfg := sim.Config{
-		Graph:    m.Graph,
-		Hardware: m.Hardware,
-		Profile: traffic.Fixed(m.Graph.Name(),
-			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
-		Seed:                 req.Seed,
-		Duration:             req.Duration,
-		Warmup:               req.Warmup,
-		DeterministicService: req.Deterministic,
-		MaxEvents:            maxEvents,
-		Shards:               req.Shards,
-	}
-	// The manager stamps the attempt's trace context on the context; the
-	// simulation's vertex spans parent under the attempt span, and live
-	// progress frames feed the job's SSE subscribers (throttled to wall
-	// clock — the sim polls far faster than any human or dashboard).
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		cfg.TraceID = tc.TraceID
-		cfg.ParentSpanID = tc.SpanID
-		cfg.Spans = s.cfg.Tracer
-	}
+	// The manager stamps the attempt's trace context on the context, so
+	// the simulation's spans parent under the attempt span. Live progress
+	// frames feed the job's SSE subscribers, throttled to wall clock —
+	// the sim polls far faster than any human or dashboard.
+	cfg = s.traceSim(ctx, cfg)
 	var lastProgress time.Time
 	cfg.Progress = func(p sim.Progress) {
-		if now := time.Now(); now.Sub(lastProgress) >= 50*time.Millisecond {
+		// The poll before the first event has no progress to report.
+		if now := time.Now(); p.Events > 0 && now.Sub(lastProgress) >= 50*time.Millisecond {
 			lastProgress = now
 			s.jobs.Progress(id, p.Events, p.SimTime, p.Checkpoints)
 		}
 	}
 	// Sharded runs cannot checkpoint (sim.ErrShardedCheckpoint); the job
 	// still runs crash-safe, it just restarts attempts from t=0.
-	if s.cfg.JobCheckpointEvery > 0 && req.Shards <= 1 {
+	if s.cfg.JobCheckpointEvery > 0 && cfg.Shards <= 1 {
 		cfg.CheckpointEvery = s.cfg.JobCheckpointEvery
 		cfg.CheckpointSink = func(c *sim.Checkpoint) error {
 			b, err := c.Encode()

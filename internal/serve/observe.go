@@ -25,7 +25,7 @@ func (s *Server) requestTrace(r *http.Request) (tc obs.TraceContext, parentSpan 
 }
 
 // handleSLO serves the monitor's current judgement — plus one row per
-// tenant when tenancy is enabled. A poll is forced at most once a second
+// tenant on a tenanted server. A poll is forced at most once a second
 // so the response reflects requests that finished after the last
 // background sample, without letting a hammering client grow the sample
 // rings.
@@ -39,7 +39,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	st := s.slo.Status()
-	if len(s.tenants) == 0 {
+	if !s.tenanted() {
 		writeJSON(w, http.StatusOK, st)
 		return
 	}
@@ -49,7 +49,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 			Weight:     t.weight,
 			Workers:    t.workerShare,
 			QueueDepth: t.queueShare,
-			CacheBytes: t.cacheBudget,
+			CacheBytes: t.budget,
 			Status:     t.slo.Status(),
 		}
 	}

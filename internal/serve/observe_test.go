@@ -221,8 +221,8 @@ func TestSLOEndpoint(t *testing.T) {
 	if st.Verdict != "ok" {
 		t.Fatalf("verdict %q on a healthy run", st.Verdict)
 	}
-	if s.sloTotal.Load() != 4 {
-		t.Fatalf("sloTotal = %d, want 4", s.sloTotal.Load())
+	if s.tenants[defaultTenant].sloTotal.Load() != 4 {
+		t.Fatalf("sloTotal = %d, want 4", s.tenants[defaultTenant].sloTotal.Load())
 	}
 }
 
@@ -258,10 +258,10 @@ func TestSLOExcludesShedLoad(t *testing.T) {
 	close(release)
 	<-results
 	<-results
-	if total := s.sloTotal.Load(); total != 2 {
+	if total := s.tenants[defaultTenant].sloTotal.Load(); total != 2 {
 		t.Fatalf("sloTotal = %d, want 2 (the 429 is excluded)", total)
 	}
-	if errs := s.sloErrors.Load(); errs != 0 {
+	if errs := s.tenants[defaultTenant].sloErrors.Load(); errs != 0 {
 		t.Fatalf("sloErrors = %d, want 0", errs)
 	}
 }

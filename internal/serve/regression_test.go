@@ -26,8 +26,8 @@ func TestL1StalePrunedOnCanonicalMiss(t *testing.T) {
 	// at prepare (400) and nothing re-creates the entry.
 	badBody := `{"spec": nope`
 	l1key := "estimate\x00" + badBody
-	s.l1.Put(l1key, []byte("0000000000000000000000000000000000000000000000000000000000000000"))
-	before := s.l1.Bytes()
+	s.tenants[defaultTenant].l1.Put(l1key, []byte("0000000000000000000000000000000000000000000000000000000000000000"))
+	before := s.tenants[defaultTenant].l1.Bytes()
 	if before == 0 {
 		t.Fatal("planted L1 entry not accounted")
 	}
@@ -36,10 +36,10 @@ func TestL1StalePrunedOnCanonicalMiss(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	if _, ok := s.l1.Get(l1key); ok {
+	if _, ok := s.tenants[defaultTenant].l1.Get(l1key); ok {
 		t.Fatal("stale L1 entry must be pruned when its canonical key misses")
 	}
-	if after := s.l1.Bytes(); after >= before {
+	if after := s.tenants[defaultTenant].l1.Bytes(); after >= before {
 		t.Fatalf("L1 bytes %d did not shrink below %d after the prune", after, before)
 	}
 	if s.hits.Value() != 0 {

@@ -98,7 +98,7 @@ type Config struct {
 	// with no or an unrecognized tenant header. Names must satisfy
 	// validTenantName; parseTenantWeights enforces it for flag input and
 	// withDefaults drops invalid entries from programmatic configs. Empty
-	// disables tenancy entirely — the single-pool behavior is unchanged.
+	// runs the daemon as the default tenant alone, with unlabeled metrics.
 	TenantWeights map[string]float64
 	// TenantCacheSpill is the fraction of CacheBytes set aside as a shared
 	// spillover pool for entries larger than their tenant's cache
@@ -247,34 +247,21 @@ func (c Config) withDefaults() Config {
 
 // Server is one daemon instance.
 type Server struct {
-	cfg   Config
-	cache *lruCache
-	// l1 maps exact request bytes (endpoint NUL body) to the canonical
-	// cache key, short-circuiting the hit path: a repeated identical
-	// request skips JSON decode, spec validation and canonical hashing
-	// entirely. It is an index over cache, not a second copy of the
-	// responses — a canonical entry evicted from cache falls through to
-	// the full prepare path regardless of what l1 remembers.
-	l1 *lruCache
-	// cacheOn records whether caching is configured at all — with tenancy
-	// enabled the canonical tier lives in per-tenant partitions and both
-	// cache and l1 above stay nil.
-	cacheOn bool
-	// tenants maps configured tenant names to their state (empty when
-	// tenancy is disabled); tenantNames is the sorted key list, the stable
-	// iteration order for snapshots and /v1/slo. spill is the shared
+	cfg Config
+	// tenants is the tenant table — never empty: without TenantWeights it
+	// holds the default tenant alone, owning every worker, queue slot and
+	// cache byte (tenant.go). Each tenant carries its worker semaphore,
+	// cache partition and L1 index. spill is the shared
 	// spillover pool for entries larger than their tenant's partition
-	// (nil unless TenantCacheSpill > 0).
-	tenants      map[string]*tenant
-	tenantNames  []string
-	spill        *lruCache
-	spillBytes   *obs.Gauge
-	spillEntries *obs.Gauge
-	// sem holds one token per running evaluation; queued counts requests
-	// waiting for a token. queued > QueueDepth ⇒ shed load. With tenancy
-	// enabled admission runs on the per-tenant semaphores instead and sem
-	// sits idle; queued still tracks the global backlog.
-	sem    chan struct{}
+	// (nil unless TenantCacheSpill > 0). partitions lists every cache
+	// partition, the tenants' in name order and then the spill pool's —
+	// the order of gauge refreshes and snapshot sections (empty when
+	// caching is disabled).
+	tenants    map[string]*tenant
+	spill      *lruCache
+	partitions []*partition
+	// queued counts requests waiting for a worker across all tenants;
+	// queued > QueueDepth ⇒ shed load, whatever the tenant shares allow.
 	queued atomic.Int64
 	ln     net.Listener
 	start  time.Time
@@ -297,19 +284,17 @@ type Server struct {
 
 	logger *slog.Logger
 
-	// slo grades the request stream against the configured objectives;
-	// the counters feed its Source and count admitted requests only —
-	// load-shed 429s never consume error budget.
-	slo       *slo.Monitor
-	sloTotal  atomic.Uint64
-	sloErrors atomic.Uint64
-	sloSlow   atomic.Uint64
+	// slo grades the request stream against the configured objectives,
+	// summing the tenants' SLO counters, which count admitted requests
+	// only — load-shed 429s never consume error budget.
+	slo *slo.Monitor
 	// sloPolled rate-limits on-demand polls from /v1/slo (unix nanos of
 	// the last forced sample).
 	sloPolled atomic.Int64
 
 	closeOnce sync.Once
 
+	// Server-wide series, unlabeled: the fleet view across all tenants.
 	latency    map[string]*obs.Histogram
 	hits       *obs.Counter
 	l1Hits     *obs.Counter
@@ -333,23 +318,7 @@ var endpoints = []string{"estimate", "optimize", "simulate"}
 // NewServer builds a daemon from the config (it does not listen yet).
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:   cfg,
-		sem:   make(chan struct{}, cfg.Workers),
-		start: time.Now(),
-	}
-	s.cacheOn = cfg.CacheEntries > 0
-	if s.cacheOn && len(cfg.TenantWeights) == 0 {
-		s.cache = newLRU(cfg.CacheEntries, cfg.CacheBytes)
-		// The L1 keys on whole request bodies, so it gets a quarter of the
-		// byte budget — enough to index every hot entry without competing
-		// with the responses themselves for memory.
-		l1Bytes := cfg.CacheBytes / 4
-		if cfg.CacheBytes <= 0 {
-			l1Bytes = 0
-		}
-		s.l1 = newLRU(cfg.CacheEntries, l1Bytes)
-	}
+	s := &Server{cfg: cfg, start: time.Now()}
 	s.logger = cfg.Logger
 	reg := cfg.Registry
 	obs.RegisterBuildInfo(reg)
@@ -377,11 +346,14 @@ func NewServer(cfg Config) *Server {
 		LatencyTarget:      cfg.SLOLatency,
 		LatencyThreshold:   cfg.SLOLatencyThreshold,
 		Source: func() slo.Sample {
-			return slo.Sample{
-				Total:  s.sloTotal.Load(),
-				Errors: s.sloErrors.Load(),
-				Slow:   s.sloSlow.Load(),
+			var sum slo.Sample
+			for _, t := range s.tenants {
+				ts := t.sloSample()
+				sum.Total += ts.Total
+				sum.Errors += ts.Errors
+				sum.Slow += ts.Slow
 			}
+			return sum
 		},
 		Registry: reg,
 	})
@@ -518,281 +490,294 @@ func statusFor(err error) int {
 }
 
 // handle wraps one endpoint's prepare function with the shared request
-// path: body limit → decode/validate → cache probe → admission control →
-// evaluate under timeout → serialize, cache, reply.
+// path, a fixed sequence of named stages: read → l1 → prepare → cache →
+// admit → eval → store. Each stage returns true once it has answered the
+// request (an error, a cache hit, a shed), which skips the rest.
 func (s *Server) handle(endpoint string, prepare func([]byte) (prepared, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		timer := s.latency[endpoint].StartTimer()
-		code := http.StatusOK
-
-		// Accept the client's W3C trace context or mint a fresh one; the
-		// server span is a child of the client's span, and its span id is
-		// echoed as X-Request-Id so client logs and server logs correlate.
-		tc, parentSpan := s.requestTrace(r)
-		w.Header().Set("X-Request-Id", tc.SpanID)
-		// Tenant resolution: logs carry the claimed name verbatim, metrics
-		// and admission use the resolved bucket (bounded cardinality).
-		claimed := claimedTenant(r)
-		ten := s.tenantFor(claimed)
-		logTenant := claimed
-		if logTenant == "" && ten != nil {
-			logTenant = ten.name
-		}
-		rl := olog.WithRequest(s.logger, tc.SpanID, tc.TraceID, endpoint, logTenant)
-		ctx0 := olog.NewContext(obs.ContextWithTrace(r.Context(), tc), rl)
-		r = r.WithContext(ctx0)
-
-		defer func() {
-			d := timer.ObserveDuration()
-			labels := obs.Labels{"endpoint": endpoint, "code": fmt.Sprint(code)}
-			if ten != nil {
-				labels["tenant"] = ten.name
-			}
-			s.cfg.Registry.Counter("lognic_serve_requests_total", "requests by endpoint and status",
-				labels).Inc()
-			// SLO accounting: 429s are load shedding, not budget burn;
-			// 5xx burns availability; slow successes burn latency.
-			if code != http.StatusTooManyRequests {
-				s.sloTotal.Add(1)
-				if ten != nil {
-					ten.sloTotal.Add(1)
-				}
-				switch {
-				case code >= 500:
-					s.sloErrors.Add(1)
-					if ten != nil {
-						ten.sloErrors.Add(1)
-					}
-				case code < 400 && d > s.cfg.SLOLatencyThreshold:
-					s.sloSlow.Add(1)
-					if ten != nil {
-						ten.sloSlow.Add(1)
-					}
-				}
-			}
-			lvl := slog.LevelDebug
-			if code >= 500 {
-				lvl = slog.LevelWarn
-			}
-			rl.Log(r.Context(), lvl, "request complete", "code", code, "duration_seconds", d.Seconds())
-		}()
-		if s.cfg.Tracer != nil {
-			startAt := time.Since(s.start).Seconds()
-			id := s.reqID.Add(1)
-			defer func() {
-				args := map[string]any{"code": code}
-				if ten != nil {
-					args["tenant"] = ten.name
-				}
-				s.cfg.Tracer.Emit(obs.Span{
-					Name:     endpoint,
-					Cat:      "request",
-					Track:    id,
-					Start:    startAt,
-					Dur:      time.Since(s.start).Seconds() - startAt,
-					Args:     args,
-					TraceID:  tc.TraceID,
-					SpanID:   tc.SpanID,
-					ParentID: parentSpan,
-				})
-			}()
-		}
-
-		body, err := readBody(w, r, s.cfg.MaxBodyBytes)
-		if err != nil {
-			code = bodyStatus(err)
-			writeError(w, code, err)
+		q := request{s: s, endpoint: endpoint, prepareFn: prepare, w: w}
+		q.begin(r)
+		defer q.finish()
+		if q.read() || q.l1() || q.prepare() || q.cache() {
 			return
 		}
-
-		// L1 probe: a byte-identical repeat of a cached request is served
-		// before the body is even parsed. Safe because the L1 only ever
-		// redirects into the canonical cache — a stale index entry just
-		// misses and falls through to the full path.
-		var l1key string
-		if l1 := s.l1For(ten); l1 != nil {
-			l1key = endpoint + "\x00" + string(body)
-			if ck, ok := l1.Get(l1key); ok {
-				if cached, ok := s.cacheGet(ten, string(ck)); ok {
-					s.countHit(ten, true)
-					w.Header().Set("Content-Type", "application/json")
-					w.Header().Set("X-Cache", "hit")
-					_, _ = w.Write(cached)
-					return
-				}
-				// The canonical tier evicted this key, so the index entry is
-				// dead weight: its key is a whole request body, it pins real
-				// memory in the L1 byte budget, and it can only ever re-miss.
-				// Prune it now; the full path re-creates it if the response
-				// is cached again.
-				l1.Delete(l1key)
-			}
-		}
-
-		p, err := prepare(body)
-		if err != nil {
-			code = statusFor(err)
-			writeError(w, code, err)
-			return
-		}
-
-		// Cache probe. Hits bypass the worker pool entirely: replaying
-		// cached bytes is cheap and must stay available under saturation.
-		if cached, ok := s.cacheGet(ten, p.key); ok {
-			s.countHit(ten, false)
-			s.l1For(ten).Put(l1key, []byte(p.key))
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Cache", "hit")
-			_, _ = w.Write(cached)
-			return
-		}
-
-		// Admission: bound the number of requests waiting for a worker.
-		// With tenancy enabled the request is first held to its tenant's
-		// reserved share of the queue, so a saturating tenant sheds against
-		// its own budget while other tenants keep admitting.
-		if ten != nil {
-			if tq := ten.queued.Add(1); tq > int64(ten.queueShare) {
-				ten.queued.Add(-1)
-				ten.queueLen.Set(float64(ten.queued.Load()))
-				ten.rejected.Inc()
-				s.rejected.Inc()
-				code = http.StatusTooManyRequests
-				w.Header().Set("Retry-After", retryAfterValue(s.tenantDrainEstimate(ten)))
-				writeError(w, code, fmt.Errorf("serve: %s queue full for tenant %q (%d waiting)", endpoint, ten.name, tq-1))
-				return
-			}
-			ten.queueLen.Set(float64(ten.queued.Load()))
-		}
-		if q := s.queued.Add(1); q > int64(s.cfg.QueueDepth) {
-			s.queued.Add(-1)
-			// Refresh the gauge on the shed path too: under sustained
-			// saturation every request takes this branch, and without the
-			// refresh the gauge freezes at whatever the last admitted
-			// request set it to.
-			s.queueLen.Set(float64(s.queued.Load()))
-			if ten != nil {
-				ten.queued.Add(-1)
-				ten.queueLen.Set(float64(ten.queued.Load()))
-				ten.rejected.Inc()
-			}
-			s.rejected.Inc()
-			code = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", retryAfterValue(s.queueDrainEstimate()))
-			writeError(w, code, fmt.Errorf("serve: %s queue full (%d waiting)", endpoint, q-1))
-			return
-		}
-		s.queueLen.Set(float64(s.queued.Load()))
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(q.r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		// With tenancy the evaluation slot comes from the tenant's reserved
-		// semaphore — a heavy tenant can exhaust its own slots but never
-		// occupies another tenant's.
-		sem := s.sem
-		if ten != nil {
-			sem = ten.sem
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			s.queued.Add(-1)
-			s.queueLen.Set(float64(s.queued.Load()))
-			if ten != nil {
-				ten.queued.Add(-1)
-				ten.queueLen.Set(float64(ten.queued.Load()))
-			}
-			code = statusFor(ctx.Err())
-			writeError(w, code, fmt.Errorf("serve: timed out waiting for a worker: %w", ctx.Err()))
+		if q.admit(ctx) || q.eval(ctx) {
 			return
 		}
-		s.queued.Add(-1)
-		s.queueLen.Set(float64(s.queued.Load()))
-		if ten != nil {
-			ten.queued.Add(-1)
-			ten.queueLen.Set(float64(ten.queued.Load()))
-			ten.inflight.Add(1)
-		}
-		s.inflight.Add(1)
-		result, err := func() (any, error) {
-			defer func() {
-				<-sem
-				s.inflight.Add(-1)
-				if ten != nil {
-					ten.inflight.Add(-1)
-				}
-			}()
-			if s.testDelay != nil {
-				s.testDelay(endpoint)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			evalStart := time.Now()
-			res, err := p.run(ctx)
-			s.observeServiceTime(time.Since(evalStart))
-			return res, err
-		}()
-		if err != nil {
-			code = statusFor(err)
-			writeError(w, code, err)
-			return
-		}
-
-		out, err := json.Marshal(result)
-		if err != nil {
-			code = http.StatusInternalServerError
-			writeError(w, code, err)
-			return
-		}
-		out = append(out, '\n')
-		// Miss accounting only applies when a cache exists to miss: a
-		// server started with caching disabled must report no cache
-		// traffic (and no 0.0 hit ratio for a cache that isn't there).
-		if s.cacheOn {
-			s.misses.Inc()
-			if ten != nil {
-				ten.misses.Inc()
-			}
-			s.cachePut(ten, p.key, out)
-			s.l1For(ten).Put(l1key, []byte(p.key))
-			s.updateCacheGauges()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "miss")
-		_, _ = w.Write(out)
+		q.store()
 	}
 }
 
-func (s *Server) updateCacheGauges() {
-	switch {
-	case len(s.tenants) > 0 && s.cacheOn:
-		// Partition gauges per tenant; the unlabeled aggregates stay the
-		// fleet-wide view (partitions plus spillover) so dashboards built
-		// on them keep working when tenancy is switched on.
-		var n int
-		var b int64
-		for _, name := range s.tenantNames {
-			t := s.tenants[name]
-			tn, tb := t.cache.Len(), t.cache.Bytes()
-			t.partEntries.Set(float64(tn))
-			t.partBytes.Set(float64(tb))
-			n += tn
-			b += tb
-		}
-		if s.spill != nil {
-			sn, sb := s.spill.Len(), s.spill.Bytes()
-			s.spillEntries.Set(float64(sn))
-			s.spillBytes.Set(float64(sb))
-			n += sn
-			b += sb
-		}
-		s.entries.Set(float64(n))
-		s.cacheBytes.Set(float64(b))
-	case s.cache != nil:
-		s.entries.Set(float64(s.cache.Len()))
-		s.cacheBytes.Set(float64(s.cache.Bytes()))
+// request is one request's state on its way through the stages.
+type request struct {
+	s         *Server
+	endpoint  string
+	prepareFn func([]byte) (prepared, error)
+	w         http.ResponseWriter
+	r         *http.Request
+	ten       *tenant
+	log       *slog.Logger
+	start     time.Time
+	tc        obs.TraceContext
+	parent    string // the client's span id, "" for a root
+	code      int
+
+	body   []byte
+	l1key  string
+	p      prepared
+	result any
+}
+
+// begin opens the request: its latency timer, trace context and tenant.
+func (q *request) begin(r *http.Request) {
+	s := q.s
+	q.start = time.Now()
+	q.code = http.StatusOK
+	// Accept the client's W3C trace context or mint a fresh one; the
+	// server span is a child of the client's span, and its span id is
+	// echoed as X-Request-Id so client logs and server logs correlate.
+	q.tc, q.parent = s.requestTrace(r)
+	q.w.Header().Set("X-Request-Id", q.tc.SpanID)
+	// Tenant resolution: logs carry the claimed name verbatim, metrics
+	// and admission use the resolved bucket (bounded cardinality).
+	claimed := claimedTenant(r)
+	q.ten = s.tenantFor(claimed)
+	if claimed == "" {
+		claimed = q.ten.label
 	}
+	q.log = olog.WithRequest(s.logger, q.tc.SpanID, q.tc.TraceID, q.endpoint, claimed)
+	q.r = r.WithContext(olog.NewContext(obs.ContextWithTrace(r.Context(), q.tc), q.log))
+}
+
+// finish records the finished request: latency, request count, SLO
+// accounting, the completion log record and the request span.
+func (q *request) finish() {
+	s := q.s
+	d := time.Since(q.start)
+	s.latency[q.endpoint].Observe(d.Seconds())
+	s.cfg.Registry.Counter("lognic_serve_requests_total", "requests by endpoint and status",
+		q.ten.labels(obs.Labels{"endpoint": q.endpoint, "code": fmt.Sprint(q.code)})).Inc()
+	q.ten.countSLO(q.code, d > s.cfg.SLOLatencyThreshold)
+	lvl := slog.LevelDebug
+	if q.code >= 500 {
+		lvl = slog.LevelWarn
+	}
+	q.log.Log(q.r.Context(), lvl, "request complete", "code", q.code, "duration_seconds", d.Seconds())
+	if s.cfg.Tracer != nil {
+		args := map[string]any{"code": q.code}
+		if q.ten.label != "" {
+			args["tenant"] = q.ten.label
+		}
+		s.cfg.Tracer.Emit(obs.Span{
+			Name:     q.endpoint,
+			Cat:      "request",
+			Track:    s.reqID.Add(1),
+			Start:    q.start.Sub(s.start).Seconds(),
+			Dur:      d.Seconds(),
+			Args:     args,
+			TraceID:  q.tc.TraceID,
+			SpanID:   q.tc.SpanID,
+			ParentID: q.parent,
+		})
+	}
+}
+
+// fail answers the request with an error status.
+func (q *request) fail(code int, err error) bool {
+	q.code = code
+	writeError(q.w, code, err)
+	return true
+}
+
+// reply answers the request with a response body.
+func (q *request) reply(xcache string, body []byte) bool {
+	q.w.Header().Set("Content-Type", "application/json")
+	q.w.Header().Set("X-Cache", xcache)
+	_, _ = q.w.Write(body)
+	return true
+}
+
+// read drains the body under the size cap.
+func (q *request) read() bool {
+	body, err := readBody(q.w, q.r, q.s.cfg.MaxBodyBytes)
+	if err != nil {
+		return q.fail(bodyStatus(err), err)
+	}
+	q.body = body
+	return false
+}
+
+// l1 probes the exact-body index: a byte-identical repeat of a cached
+// request is served before the body is even parsed. Safe because the L1
+// only ever redirects into the canonical cache — a stale index entry just
+// misses and falls through to the full path.
+func (q *request) l1() bool {
+	l1 := q.ten.l1
+	if l1 == nil {
+		return false // caching disabled
+	}
+	q.l1key = q.endpoint + "\x00" + string(q.body)
+	ck, ok := l1.Get(q.l1key)
+	if !ok {
+		return false
+	}
+	if cached, ok := q.s.cacheGet(q.ten, string(ck)); ok {
+		q.s.countHit(q.ten, true)
+		return q.reply("hit", cached)
+	}
+	// The canonical tier evicted this key, so the index entry is dead
+	// weight: its key is a whole request body, it pins real memory in the
+	// L1 byte budget, and it can only ever re-miss. Prune it now; the full
+	// path re-creates it if the response is cached again.
+	l1.Delete(q.l1key)
+	return false
+}
+
+// prepare decodes and validates the body and derives its canonical key.
+func (q *request) prepare() bool {
+	p, err := q.prepareFn(q.body)
+	if err != nil {
+		return q.fail(statusFor(err), err)
+	}
+	q.p = p
+	return false
+}
+
+// cache probes the canonical tier and back-fills the L1 for this body's
+// byte shape on a hit. Hits bypass the worker pool entirely: replaying
+// cached bytes is cheap and must stay available under saturation.
+func (q *request) cache() bool {
+	cached, ok := q.s.cacheGet(q.ten, q.p.key)
+	if !ok {
+		return false
+	}
+	q.s.countHit(q.ten, false)
+	q.ten.l1.Put(q.l1key, []byte(q.p.key))
+	return q.reply("hit", cached)
+}
+
+// admit holds the request to its tenant's share of the wait queue, then
+// to the global QueueDepth, and waits for one of the tenant's worker
+// slots — a saturating tenant sheds against its own budget and occupies
+// only its own slots, while other tenants keep admitting.
+func (q *request) admit(ctx context.Context) bool {
+	s, t := q.s, q.ten
+	tq := t.queued.Add(1)
+	full := tq > int64(t.queueShare)
+	if !full && s.queued.Add(1) > int64(s.cfg.QueueDepth) {
+		s.queued.Add(-1)
+		full = true
+	}
+	if full {
+		t.queued.Add(-1)
+		// Refresh the gauges on the shed path too: under sustained
+		// saturation every request takes this branch, and without the
+		// refresh they freeze at whatever the last admitted request set.
+		s.setQueueGauges(t)
+		t.rejected.Inc()
+		s.rejected.Inc()
+		q.w.Header().Set("Retry-After", retryAfterValue(s.drainEstimate(t)))
+		return q.fail(http.StatusTooManyRequests, fmt.Errorf("serve: %s queue full (%d waiting)", q.endpoint, tq-1))
+	}
+	s.setQueueGauges(t)
+	select {
+	case t.sem <- struct{}{}:
+	case <-ctx.Done():
+		q.dequeue()
+		return q.fail(statusFor(ctx.Err()), fmt.Errorf("serve: timed out waiting for a worker: %w", ctx.Err()))
+	}
+	q.dequeue()
+	t.inflight.Add(1)
+	s.inflight.Add(1)
+	return false
+}
+
+// dequeue takes an admitted request off the wait queue. The global count
+// drops first, so it never exceeds the tenants' sum and a lone tenant's
+// share check is the one that sheds.
+func (q *request) dequeue() {
+	q.s.queued.Add(-1)
+	q.ten.queued.Add(-1)
+	q.s.setQueueGauges(q.ten)
+}
+
+// setQueueGauges publishes the global and the tenant's queue depth.
+func (s *Server) setQueueGauges(t *tenant) {
+	s.queueLen.Set(float64(s.queued.Load()))
+	t.queueLen.Set(float64(t.queued.Load()))
+}
+
+// eval runs the evaluation under the request timeout in the worker slot
+// admit took, and gives the slot back.
+func (q *request) eval(ctx context.Context) bool {
+	s, t := q.s, q.ten
+	result, err := func() (any, error) {
+		defer func() {
+			<-t.sem
+			s.inflight.Add(-1)
+			t.inflight.Add(-1)
+		}()
+		if s.testDelay != nil {
+			s.testDelay(q.endpoint)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		evalStart := time.Now()
+		res, err := q.p.run(ctx)
+		s.observeServiceTime(time.Since(evalStart))
+		return res, err
+	}()
+	if err != nil {
+		return q.fail(statusFor(err), err)
+	}
+	q.result = result
+	return false
+}
+
+// store serializes the result, caches it and replies.
+func (q *request) store() {
+	out, err := json.Marshal(q.result)
+	if err != nil {
+		q.fail(http.StatusInternalServerError, err)
+		return
+	}
+	out = append(out, '\n')
+	// Miss accounting only applies when a cache exists to miss: a server
+	// started with caching disabled must report no cache traffic (and no
+	// 0.0 hit ratio for a cache that isn't there).
+	if t := q.ten; t.cache != nil {
+		q.s.misses.Inc()
+		t.misses.Inc()
+		q.s.cachePut(t, q.p.key, out)
+		t.l1.Put(q.l1key, []byte(q.p.key))
+		q.s.updateCacheGauges()
+	}
+	q.reply("miss", out)
+}
+
+// updateCacheGauges refreshes the occupancy gauges after the cache
+// changed: one pair per partition, and the unlabeled aggregates as the
+// fleet-wide view (partitions plus spillover).
+func (s *Server) updateCacheGauges() {
+	var n int
+	var b int64
+	for _, p := range s.partitions {
+		pn, pb := p.cache.Len(), p.cache.Bytes()
+		p.partEntries.Set(float64(pn))
+		p.partBytes.Set(float64(pb))
+		n += pn
+		b += pb
+	}
+	s.entries.Set(float64(n))
+	s.cacheBytes.Set(float64(b))
+	s.updateHitRatio()
+}
+
+// updateHitRatio refreshes the hit-ratio gauge.
+func (s *Server) updateHitRatio() {
 	h, m := s.hits.Value(), s.misses.Value()
 	if h+m > 0 {
 		s.hitRatio.Set(h / (h + m))
@@ -816,19 +801,6 @@ func (s *Server) observeServiceTime(d time.Duration) {
 			return
 		}
 	}
-}
-
-// queueDrainEstimate predicts how long a shed request should wait before
-// retrying: the queue ahead of it divided across the worker pool, at the
-// recent mean service time. Before any evaluation completes it assumes a
-// cheap one — better to invite an early retry than park clients a minute.
-func (s *Server) queueDrainEstimate() time.Duration {
-	mean := math.Float64frombits(s.svcMean.Load())
-	if mean <= 0 {
-		mean = 0.05
-	}
-	drain := float64(s.queued.Load()) * mean / float64(s.cfg.Workers)
-	return time.Duration(drain * float64(time.Second))
 }
 
 // retryAfterValue renders a drain estimate as a Retry-After header value:

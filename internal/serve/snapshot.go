@@ -13,7 +13,7 @@ package serve
 // is one entry, payload = key bytes | 0x00 | body bytes, ordered least
 // recently used first so replaying Puts reconstructs the donor's
 // recency order. A torn tail (snapshot taken mid-crash, truncated
-// download) loses only the most recently used suffix — ReplayRecords
+// download) loses only the most recently used suffix — the frame scanner
 // stops at the first bad frame — and never poisons an entry: bodies are
 // CRC-covered end to end.
 
@@ -29,7 +29,7 @@ import (
 	"lognic/internal/jobs"
 )
 
-// snapshotMagic is frame 0 of an untenanted cache snapshot stream;
+// snapshotMagic is frame 0 of an untenanted server's snapshot stream;
 // readers reject streams that don't open with a known magic (wrong file,
 // wrong endpoint, future incompatible version).
 const snapshotMagic = "lognic-cache-snapshot v1"
@@ -37,149 +37,132 @@ const snapshotMagic = "lognic-cache-snapshot v1"
 // snapshotMagicV2 opens a partitioned snapshot: every entry frame is
 // prefixed with its tenant name (the spillover pool dumps under "*"), so
 // a warm-start restores each entry into the partition it came from. A
-// tenancy-enabled server always emits v2; an untenanted one always emits
-// v1, keeping its streams byte-compatible with older readers.
+// tenanted server always emits v2; an untenanted one always emits v1,
+// keeping its streams byte-compatible with older readers.
 const snapshotMagicV2 = "lognic-cache-snapshot v2"
 
-// snapEntry is one parsed snapshot entry. tenant is "" for v1 streams,
-// a tenant name or spillTenant for v2.
-type snapEntry struct {
-	tenant string
-	key    string
-	body   []byte
+// snapSection is one partition's entries, least recently used first.
+type snapSection struct {
+	tenant  string
+	entries []cacheEntry
 }
 
 // handleCacheSnapshot streams the result cache. The dump reflects one
 // consistent moment of each partition's LRU order (Entries snapshots
 // under the cache lock); bodies stream without re-marshaling.
 func (s *Server) handleCacheSnapshot(w http.ResponseWriter, r *http.Request) {
-	if !s.cacheOn {
+	if s.cfg.CacheEntries <= 0 {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: result cache disabled"))
 		return
 	}
-	if len(s.tenants) == 0 {
-		entries := s.cache.Entries()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Cache-Entries", fmt.Sprint(len(entries)))
-		// On a mid-stream error the headers are gone; the client's replay
-		// stops at the torn frame and keeps the prefix — exactly the
-		// journal's crash contract.
-		_ = writeCacheSnapshot(w, entries)
-		return
-	}
-	var es []snapEntry
-	for _, name := range s.tenantNames {
-		for _, e := range s.tenants[name].cache.Entries() {
-			es = append(es, snapEntry{tenant: name, key: e.key, body: e.body})
-		}
-	}
-	if s.spill != nil {
-		for _, e := range s.spill.Entries() {
-			es = append(es, snapEntry{tenant: spillTenant, key: e.key, body: e.body})
-		}
+	n := 0
+	sections := make([]snapSection, len(s.partitions))
+	for i, p := range s.partitions {
+		sections[i] = snapSection{tenant: p.name, entries: p.cache.Entries()}
+		n += len(sections[i].entries)
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Cache-Entries", fmt.Sprint(len(es)))
-	_ = writeCacheSnapshotV2(w, es)
+	w.Header().Set("X-Cache-Entries", fmt.Sprint(n))
+	// On a mid-stream error the headers are gone; the client's replay
+	// stops at the torn frame and keeps the prefix — exactly the
+	// journal's crash contract.
+	_ = writeCacheSnapshot(w, s.tenanted(), sections)
 }
 
-// writeCacheSnapshot frames the magic record and one record per entry.
-func writeCacheSnapshot(w io.Writer, entries []cacheEntry) error {
-	if err := jobs.WriteFrame(w, []byte(snapshotMagic)); err != nil {
+// writeCacheSnapshot frames the magic record and one record per entry:
+// key | 0x00 | body in v1, tenant | 0x00 | key | 0x00 | body in v2 (the
+// tenanted format). Tenant names and keys are NUL-free by construction
+// (validTenantName; hex hashes), so the separators are unambiguous even
+// though bodies may contain NULs.
+func writeCacheSnapshot(w io.Writer, tenanted bool, sections []snapSection) error {
+	magic := snapshotMagic
+	if tenanted {
+		magic = snapshotMagicV2
+	}
+	if err := jobs.WriteFrame(w, []byte(magic)); err != nil {
 		return err
 	}
-	for _, e := range entries {
-		payload := make([]byte, 0, len(e.key)+1+len(e.body))
-		payload = append(payload, e.key...)
-		payload = append(payload, 0)
-		payload = append(payload, e.body...)
-		if err := jobs.WriteFrame(w, payload); err != nil {
-			return err
+	var payload []byte
+	for _, sec := range sections {
+		for _, e := range sec.entries {
+			payload = payload[:0]
+			if tenanted {
+				payload = append(append(payload, sec.tenant...), 0)
+			}
+			payload = append(append(append(payload, e.key...), 0), e.body...)
+			if err := jobs.WriteFrame(w, payload); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// writeCacheSnapshotV2 frames the v2 magic and one tenant-prefixed
-// record per entry: tenant | 0x00 | key | 0x00 | body. Tenant names and
-// keys are NUL-free by construction (validTenantName; hex hashes), so
-// the first two separators are unambiguous even though bodies may
-// contain NULs.
-func writeCacheSnapshotV2(w io.Writer, entries []snapEntry) error {
-	if err := jobs.WriteFrame(w, []byte(snapshotMagicV2)); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		payload := make([]byte, 0, len(e.tenant)+1+len(e.key)+1+len(e.body))
-		payload = append(payload, e.tenant...)
-		payload = append(payload, 0)
-		payload = append(payload, e.key...)
-		payload = append(payload, 0)
-		payload = append(payload, e.body...)
-		if err := jobs.WriteFrame(w, payload); err != nil {
+// errBadMagic rejects a stream that is not a cache snapshot.
+var errBadMagic = fmt.Errorf("serve: not a cache snapshot stream (bad magic)")
+
+// readCacheSnapshot decodes a snapshot stream (either version), handing
+// each entry to put as soon as its frame is read — one record in memory
+// at a time. v1 entries carry tenant "". It stops silently at the first
+// corrupt frame (the replay contract: everything before a tear is
+// trustworthy, the tear itself was unacknowledged), but a CRC-valid frame
+// that is not an entry stops it with an error. Either way the entries
+// already handed to put stay put.
+func readCacheSnapshot(r io.Reader, put func(tenant, key string, body []byte)) error {
+	sc := jobs.NewFrameScanner(r)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
 			return err
 		}
+		return errBadMagic
 	}
-	return nil
-}
-
-// readCacheSnapshot parses a snapshot stream (either version) back into
-// entries, stopping silently at the first corrupt frame (the replay
-// contract: everything before a tear is trustworthy, the tear itself was
-// unacknowledged). v1 entries come back with tenant "".
-func readCacheSnapshot(r io.Reader) ([]snapEntry, error) {
-	records, _, err := jobs.ReplayRecords(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("serve: not a cache snapshot stream (bad magic)")
-	}
-	v2 := false
-	switch string(records[0]) {
+	var v2 bool
+	switch string(sc.Record()) {
 	case snapshotMagic:
 	case snapshotMagicV2:
 		v2 = true
 	default:
-		return nil, fmt.Errorf("serve: not a cache snapshot stream (bad magic)")
+		return errBadMagic
 	}
-	entries := make([]snapEntry, 0, len(records)-1)
-	for _, rec := range records[1:] {
-		e := snapEntry{}
+	nul := []byte{0}
+	for sc.Scan() {
+		rec, tenant := sc.Record(), ""
 		if v2 {
-			sep := bytes.IndexByte(rec, 0)
-			if sep < 0 {
-				return nil, fmt.Errorf("serve: malformed snapshot entry (no tenant separator)")
+			t, rest, ok := bytes.Cut(rec, nul)
+			if !ok {
+				return fmt.Errorf("serve: malformed snapshot entry (no tenant separator)")
 			}
-			e.tenant = string(rec[:sep])
-			rec = rec[sep+1:]
+			tenant, rec = string(t), rest
 		}
-		sep := bytes.IndexByte(rec, 0)
-		if sep <= 0 {
-			return nil, fmt.Errorf("serve: malformed snapshot entry (no key separator)")
+		key, body, ok := bytes.Cut(rec, nul)
+		if !ok || len(key) == 0 {
+			return fmt.Errorf("serve: malformed snapshot entry (no key separator)")
 		}
-		e.key = string(rec[:sep])
-		e.body = append([]byte(nil), rec[sep+1:]...)
-		entries = append(entries, e)
+		// The scanner hands out a fresh buffer per frame, so the body can
+		// be kept without a copy.
+		put(tenant, string(key), body)
 	}
-	return entries, nil
+	return sc.Err()
 }
 
 // WarmCache populates the result cache from a snapshot source — a file
 // path or an http(s) URL (typically a peer replica's /v1/cache/snapshot).
 // Entries replay in the donor's LRU order, so the warmed cache evicts in
 // the same order the donor would have; entries over this replica's byte
-// budget are skipped, not errors. Returns how many entries and accounted
-// bytes (keys plus bodies) were admitted.
+// budget are skipped, not errors. Each entry is admitted as it is read,
+// so memory stays within the cache budget plus one record. Returns how
+// many entries and accounted bytes (keys plus bodies) were admitted —
+// also alongside an error, since a malformed entry or a read failure
+// stops the warm-start but keeps what came before it.
 //
-// Restores are partition-faithful. On a tenancy-enabled replica a v2
-// entry lands in the partition named by its tenant prefix (the spill
-// section in the spillover pool), a v1 entry in the default partition,
-// and entries for tenants this replica doesn't configure are skipped —
-// guessing a partition would let one tenant's bytes evict another's. An
-// untenanted replica flattens every section into its single cache.
+// Restores are partition-faithful. On a tenanted replica a v2 entry lands
+// in the partition named by its tenant prefix (the spill section in the
+// spillover pool), a v1 entry in the default partition, and entries for
+// tenants this replica doesn't configure are skipped — guessing a
+// partition would let one tenant's bytes evict another's. An untenanted
+// replica flattens every section into its one partition.
 func (s *Server) WarmCache(src string) (entries int, admittedBytes int64, err error) {
-	if !s.cacheOn {
+	if s.cfg.CacheEntries <= 0 {
 		return 0, 0, fmt.Errorf("serve: result cache disabled")
 	}
 	rc, err := openSnapshotSource(src)
@@ -187,34 +170,29 @@ func (s *Server) WarmCache(src string) (entries int, admittedBytes int64, err er
 		return 0, 0, err
 	}
 	defer rc.Close()
-	es, err := readCacheSnapshot(rc)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, e := range es {
-		var target *lruCache
-		switch {
-		case len(s.tenants) == 0:
-			target = s.cache
-		case e.tenant == spillTenant:
-			target = s.spill // nil when spillover is off: skip
-		case e.tenant == "":
-			target = s.tenants[defaultTenant].cache
-		default:
-			if t := s.tenants[e.tenant]; t != nil {
-				target = t.cache
-			}
-		}
-		if target == nil {
-			continue
-		}
-		if target.Put(e.key, e.body) {
+	defer s.updateCacheGauges()
+	err = readCacheSnapshot(rc, func(tenant, key string, body []byte) {
+		if s.warmTarget(tenant).Put(key, body) {
 			entries++
-			admittedBytes += int64(len(e.key)) + int64(len(e.body))
+			admittedBytes += int64(len(key)) + int64(len(body))
 		}
+	})
+	return entries, admittedBytes, err
+}
+
+// warmTarget picks the cache a snapshot section restores into (nil —
+// skip — for a section this replica has no partition for).
+func (s *Server) warmTarget(tenant string) *lruCache {
+	switch {
+	case !s.tenanted() || tenant == "":
+		return s.tenants[defaultTenant].cache
+	case tenant == spillTenant:
+		return s.spill
 	}
-	s.updateCacheGauges()
-	return entries, admittedBytes, nil
+	if t := s.tenants[tenant]; t != nil {
+		return t.cache
+	}
+	return nil
 }
 
 // openSnapshotSource opens a warm-start source: URLs fetch with a bounded

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"lognic/internal/jobs"
 )
 
 // snapshotOf GETs a server's cache snapshot stream.
@@ -65,8 +67,8 @@ func TestWarmStartByteIdentical(t *testing.T) {
 			if n != len(reqs) || nbytes <= 0 {
 				t.Fatalf("warmed %d entries / %d bytes, want %d entries", n, nbytes, len(reqs))
 			}
-			if fresh.cache.Bytes() != nbytes {
-				t.Fatalf("cache accounts %d bytes, WarmCache reported %d", fresh.cache.Bytes(), nbytes)
+			if fresh.tenants[defaultTenant].cache.Bytes() != nbytes {
+				t.Fatalf("cache accounts %d bytes, WarmCache reported %d", fresh.tenants[defaultTenant].cache.Bytes(), nbytes)
 			}
 			for i, rq := range reqs {
 				resp, body := post(t, ts.Client(), ts.URL+rq.path, rq.body)
@@ -153,4 +155,119 @@ func TestSnapshotCacheDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
+}
+
+// A CRC-valid frame that is not an entry stops the warm-start with an
+// error, and the entries before it stay admitted — the same prefix rule
+// as a torn tail.
+func TestWarmStartMalformedEntry(t *testing.T) {
+	var buf bytes.Buffer
+	for _, rec := range []string{snapshotMagic, "k1\x00{\"a\":1}\n", "no separator", "k2\x00{}\n"} {
+		if err := jobs.WriteFrame(&buf, []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "bad-entry.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Config{})
+	n, nbytes, err := s.WarmCache(path)
+	if err == nil {
+		t.Fatal("a malformed entry must fail the warm-start")
+	}
+	if n != 1 || nbytes != int64(len("k1")+len("{\"a\":1}\n")) {
+		t.Fatalf("warmed %d entries / %d bytes before the bad frame, want 1", n, nbytes)
+	}
+	if _, ok := s.tenants[defaultTenant].cache.Get("k1"); !ok {
+		t.Fatal("the entry before the malformed frame must stay admitted")
+	}
+}
+
+// snapTriple is one decoded snapshot entry.
+type snapTriple struct {
+	tenant, key string
+	body        []byte
+}
+
+func decodeSnapshot(data []byte) ([]snapTriple, error) {
+	var out []snapTriple
+	err := readCacheSnapshot(bytes.NewReader(data), func(tenant, key string, body []byte) {
+		out = append(out, snapTriple{tenant, key, body})
+	})
+	return out, err
+}
+
+func encodeSnapshot(t testing.TB, tenanted bool, entries []snapTriple) []byte {
+	var buf bytes.Buffer
+	sections := make([]snapSection, len(entries))
+	for i, e := range entries {
+		sections[i] = snapSection{tenant: e.tenant, entries: []cacheEntry{{key: e.key, body: e.body}}}
+	}
+	if err := writeCacheSnapshot(&buf, tenanted, sections); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzCacheSnapshot feeds arbitrary bytes — writer output in both
+// versions, torn and bit-flipped copies, malformed entries, noise —
+// through the snapshot decoder. It must never panic; what it admits must
+// be exactly the leading intact frames of the stream, in order, and a
+// clean return means it admitted all of them; and the writer must
+// round-trip whatever was decoded to identical (tenant, key, body)
+// triples.
+func FuzzCacheSnapshot(f *testing.F) {
+	v1 := encodeSnapshot(f, false, []snapTriple{
+		{"", "9f2c", []byte(`{"throughput":1e9}` + "\n")},
+		{"", "a01b", []byte("body with a \x00 inside")},
+	})
+	v2 := encodeSnapshot(f, true, []snapTriple{
+		{"alpha", "9f2c", []byte(`{"x":1}`)},
+		{spillTenant, "77aa", []byte("spilled")},
+		{defaultTenant, "0c0c", nil},
+	})
+	var malformed bytes.Buffer
+	for _, rec := range []string{snapshotMagicV2, "alpha\x00k\x00b", "no separators"} {
+		_ = jobs.WriteFrame(&malformed, []byte(rec))
+	}
+	flipped := append([]byte(nil), v2...)
+	flipped[len(flipped)-2] ^= 0x20
+	for _, seed := range [][]byte{v1, v2, v1[:len(v1)-3], v2[:40], flipped, malformed.Bytes(), {}, []byte("not a snapshot")} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeSnapshot(data)
+		records, _, rerr := jobs.ReplayRecords(bytes.NewReader(data))
+		if rerr != nil {
+			t.Fatalf("in-memory replay failed: %v", rerr)
+		}
+		if len(got) > 0 && len(got) > len(records)-1 {
+			t.Fatalf("decoded %d entries from %d intact frames", len(got), len(records))
+		}
+		v2 := len(records) > 0 && string(records[0]) == snapshotMagicV2
+		for i, e := range got {
+			var want []byte
+			if v2 {
+				want = append([]byte(e.tenant), 0)
+			}
+			want = append(append(append(want, e.key...), 0), e.body...)
+			if !bytes.Equal(records[i+1], want) {
+				t.Fatalf("entry %d %+v does not re-frame to intact frame %d", i, e, i+1)
+			}
+		}
+		if err == nil && len(got) != len(records)-1 {
+			t.Fatalf("clean decode admitted %d of %d entry frames", len(got), len(records)-1)
+		}
+		again, err := decodeSnapshot(encodeSnapshot(t, v2, got))
+		if err != nil || len(again) != len(got) {
+			t.Fatalf("round trip: %d entries, %v; want %d", len(again), err, len(got))
+		}
+		for i := range got {
+			if again[i].tenant != got[i].tenant || again[i].key != got[i].key || !bytes.Equal(again[i].body, got[i].body) {
+				t.Fatalf("round trip changed entry %d: %+v → %+v", i, got[i], again[i])
+			}
+		}
+	})
 }

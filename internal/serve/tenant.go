@@ -26,9 +26,10 @@ package serve
 // withDefaults raises Workers/QueueDepth to at least the tenant count so
 // tiny pools still give everyone a slot.
 //
-// With TenantWeights unset, none of this machinery exists: requests flow
-// through the exact single-pool, single-cache path they always did,
-// byte for byte.
+// There is one request path. With TenantWeights unset the table holds a
+// single default tenant that owns all of Workers, QueueDepth and the
+// cache, and the only difference is what tenanted() decides: no tenant
+// labels, span args or log attributes, no /v1/slo rows, and v1 snapshots.
 
 import (
 	"fmt"
@@ -45,8 +46,8 @@ import (
 )
 
 // defaultTenant absorbs requests with no (or an unconfigured) tenant
-// header. It always exists when tenancy is enabled, weight 1 unless
-// configured explicitly.
+// header. It always exists — on an untenanted server it is the only
+// tenant — with weight 1 unless configured explicitly.
 const defaultTenant = "default"
 
 // spillTenant labels the shared spillover pool in metrics and snapshot
@@ -58,8 +59,13 @@ const tenantHeader = "X-Lognic-Tenant"
 
 // tenant is one tenant's runtime state.
 type tenant struct {
-	name   string
+	// partition is the tenant's slice of the canonical cache (a nil cache
+	// when caching is disabled); its name is the tenant's name.
+	partition
 	weight float64
+	// label is the tenant's metric label, span arg and log attribute
+	// value: its name on a tenanted server, "" on an untenanted one.
+	label string
 
 	// Admission: a reserved slice of the worker pool and the wait queue.
 	workerShare int
@@ -67,25 +73,48 @@ type tenant struct {
 	sem         chan struct{}
 	queued      atomic.Int64
 
-	// Cache partition (nil when caching is disabled): strict LRU within
-	// the tenant's byte sub-budget, plus its slice of the L1 index.
-	cache       *lruCache
-	l1          *lruCache
-	cacheBudget int64
+	// l1 is the tenant's slice of the L1 index: exact request bytes
+	// (endpoint NUL body) to canonical key, nil when caching is disabled.
+	l1 *lruCache
 
-	// SLO accounting mirrors the server-wide counters and feeds the
-	// tenant's own burn-rate monitor (the per-tenant rows under /v1/slo).
+	// SLO accounting: the tenant's own burn-rate monitor (the per-tenant
+	// rows under /v1/slo) reads these, and the server-wide monitor sums
+	// them over the table.
 	sloTotal, sloErrors, sloSlow atomic.Uint64
 	slo                          *slo.Monitor
 
-	queueLen    *obs.Gauge
-	inflight    *obs.Gauge
-	partBytes   *obs.Gauge
-	partBudget  *obs.Gauge
-	partEntries *obs.Gauge
-	hits        *obs.Counter
-	misses      *obs.Counter
-	rejected    *obs.Counter
+	queueLen *obs.Gauge
+	inflight *obs.Gauge
+	hits     *obs.Counter
+	misses   *obs.Counter
+	rejected *obs.Counter
+}
+
+// partition is one slice of the canonical cache — a tenant's, or the
+// shared spillover pool under spillTenant — with its occupancy gauges.
+type partition struct {
+	name                               string
+	cache                              *lruCache
+	budget                             int64
+	partBytes, partEntries, partBudget *obs.Gauge
+}
+
+// newPartition builds a cache partition and registers its gauges.
+func newPartition(reg *obs.Registry, name string, entries int, budget int64) partition {
+	labels := obs.Labels{"tenant": name}
+	p := partition{
+		name:   name,
+		cache:  newLRU(entries, budget),
+		budget: budget,
+		partBytes: reg.Gauge("lognic_serve_cache_partition_bytes",
+			"per-tenant cache partition occupancy in bytes", labels),
+		partEntries: reg.Gauge("lognic_serve_cache_partition_entries",
+			"per-tenant cache partition occupancy in entries", labels),
+		partBudget: reg.Gauge("lognic_serve_cache_partition_budget_bytes",
+			"per-tenant cache partition byte budget (0 = unbounded)", labels),
+	}
+	p.partBudget.Set(float64(budget))
+	return p
 }
 
 // validTenantName restricts tenant names to a bounded, header- and
@@ -139,15 +168,15 @@ func parseTenantWeights(s string) (map[string]float64, error) {
 	return out, nil
 }
 
-// apportion splits total indivisible slots across names in proportion to
-// weight by the largest-remainder method: every name gets the floor of
-// its exact share but at least one slot; remaining slots go one each to
+// apportion splits total indivisible units across names in proportion
+// to weight by the largest-remainder method: every name gets the floor of
+// its exact share but at least one unit; remaining units go one each to
 // the names furthest below their exact share. Deterministic — ties break
 // by weight, then name. The minimum-one guarantee can push the sum past
 // total when total is small; callers that need a hard sum must size
 // total to at least len(names).
-func apportion(total int, names []string, weights map[string]float64) map[string]int {
-	out := make(map[string]int, len(names))
+func apportion[T int | int64](total T, names []string, weights map[string]float64) map[string]T {
+	out := make(map[string]T, len(names))
 	if len(names) == 0 {
 		return out
 	}
@@ -160,10 +189,10 @@ func apportion(total int, names []string, weights map[string]float64) map[string
 		gap  float64
 	}
 	deficits := make([]deficit, 0, len(names))
-	used := 0
+	var used T
 	for _, n := range names {
 		exact := float64(total) * weights[n] / sum
-		share := int(exact)
+		share := T(exact)
 		if share < 1 {
 			share = 1
 		}
@@ -188,55 +217,32 @@ func apportion(total int, names []string, weights map[string]float64) map[string
 }
 
 // apportionBytes is apportion for byte budgets. total <= 0 (byte bound
-// disabled) gives every partition 0, which newLRU reads as unbounded —
-// matching the untenanted cache's semantics. Otherwise every partition
-// gets at least one byte so a tiny budget never degrades to unbounded.
+// disabled) gives every partition 0, which newLRU reads as unbounded;
+// otherwise apportion's minimum of one byte keeps a tiny budget from
+// degrading to unbounded.
 func apportionBytes(total int64, names []string, weights map[string]float64) map[string]int64 {
-	out := make(map[string]int64, len(names))
+	out := apportion(total, names, weights)
 	if total <= 0 {
-		for _, n := range names {
+		for n := range out {
 			out[n] = 0
-		}
-		return out
-	}
-	var sum float64
-	for _, n := range names {
-		sum += weights[n]
-	}
-	var used int64
-	for _, n := range names {
-		share := int64(float64(total) * weights[n] / sum)
-		if share < 1 {
-			share = 1
-		}
-		out[n] = share
-		used += share
-	}
-	// Hand the integer remainder to the heaviest tenants (stable order);
-	// at byte granularity the deficit refinement is noise.
-	if rem := total - used; rem > 0 {
-		sorted := append([]string(nil), names...)
-		sort.Slice(sorted, func(i, j int) bool {
-			if weights[sorted[i]] != weights[sorted[j]] {
-				return weights[sorted[i]] > weights[sorted[j]]
-			}
-			return sorted[i] < sorted[j]
-		})
-		for i := 0; rem > 0; i++ {
-			out[sorted[i%len(sorted)]]++
-			rem--
 		}
 	}
 	return out
 }
 
-// initTenants builds the per-tenant state from cfg.TenantWeights (no-op
-// when tenancy is disabled). Called once from NewServer, after the
-// server-wide metric handles exist.
+// initTenants builds the tenant table. Called once from NewServer, after
+// the server-wide metric handles exist.
 func (s *Server) initTenants() {
 	weights := s.cfg.TenantWeights
-	if len(weights) == 0 {
-		return
+	reg := s.cfg.Registry
+	if !s.tenanted() {
+		// Untenanted is one default tenant owning every worker, queue slot
+		// and cache byte. Its per-tenant series would only repeat the
+		// unlabeled server-wide ones, so they go to a private registry
+		// that is never exported — the request path updates them all the
+		// same.
+		weights = map[string]float64{defaultTenant: 1}
+		reg = obs.NewRegistry()
 	}
 	names := make([]string, 0, len(weights))
 	for name := range weights {
@@ -250,38 +256,37 @@ func (s *Server) initTenants() {
 	// byte budget, the rest splits into weighted partitions. Entry counts
 	// split the same way (byte budgets are the operative bound; the entry
 	// split just keeps per-partition maps proportionate).
+	cacheOn := s.cfg.CacheEntries > 0
 	var spillBytes int64
 	cacheBudget := s.cfg.CacheBytes
 	if cacheBudget < 0 {
 		cacheBudget = 0 // byte bound disabled
 	}
-	if s.cacheOn && cacheBudget > 0 && s.cfg.TenantCacheSpill > 0 {
+	if cacheOn && cacheBudget > 0 && s.cfg.TenantCacheSpill > 0 {
 		spillBytes = int64(float64(cacheBudget) * s.cfg.TenantCacheSpill)
 	}
 	byteShares := apportionBytes(cacheBudget-spillBytes, names, weights)
-	var entryShares map[string]int
-	if s.cacheOn {
-		entryShares = apportion(s.cfg.CacheEntries, names, weights)
-	}
+	entryShares := apportion(s.cfg.CacheEntries, names, weights)
 
-	reg := s.cfg.Registry
 	s.tenants = make(map[string]*tenant, len(names))
-	s.tenantNames = names
 	for _, name := range names {
 		t := &tenant{
-			name:        name,
+			partition:   partition{name: name},
 			weight:      weights[name],
 			workerShare: workerShares[name],
 			queueShare:  queueShares[name],
+			sem:         make(chan struct{}, workerShares[name]),
 		}
-		t.sem = make(chan struct{}, t.workerShare)
-		if s.cacheOn {
-			t.cacheBudget = byteShares[name]
-			t.cache = newLRU(entryShares[name], t.cacheBudget)
-			// Same layout as the untenanted L1: a quarter of the byte
-			// budget indexes the partition's hot entries.
-			l1Bytes := t.cacheBudget / 4
-			t.l1 = newLRU(entryShares[name], l1Bytes)
+		if s.tenanted() {
+			t.label = name
+		}
+		if cacheOn {
+			t.partition = newPartition(reg, name, entryShares[name], byteShares[name])
+			// The L1 keys on whole request bodies, so it gets a quarter of
+			// the partition's byte budget — enough to index every hot entry
+			// without competing with the responses themselves for memory.
+			t.l1 = newLRU(entryShares[name], t.budget/4)
+			s.partitions = append(s.partitions, &t.partition)
 		}
 		labels := obs.Labels{"tenant": name}
 		t.queueLen = reg.Gauge("lognic_serve_queue_depth", "requests waiting for a worker", labels)
@@ -289,15 +294,6 @@ func (s *Server) initTenants() {
 		t.hits = reg.Counter("lognic_serve_cache_hits_total", "result cache hits", labels)
 		t.misses = reg.Counter("lognic_serve_cache_misses_total", "result cache misses", labels)
 		t.rejected = reg.Counter("lognic_serve_rejected_total", "requests shed with 429", labels)
-		if s.cacheOn {
-			t.partBytes = reg.Gauge("lognic_serve_cache_partition_bytes",
-				"per-tenant cache partition occupancy in bytes", labels)
-			t.partBudget = reg.Gauge("lognic_serve_cache_partition_budget_bytes",
-				"per-tenant cache partition byte budget (0 = unbounded)", labels)
-			t.partEntries = reg.Gauge("lognic_serve_cache_partition_entries",
-				"per-tenant cache partition occupancy in entries", labels)
-			t.partBudget.Set(float64(t.cacheBudget))
-		}
 		// The tenant's own burn-rate monitor. No Registry: the lognic_slo_*
 		// series belong to the server-wide monitor; tenant judgements are
 		// served as /v1/slo rows instead.
@@ -305,28 +301,24 @@ func (s *Server) initTenants() {
 			AvailabilityTarget: s.cfg.SLOAvailability,
 			LatencyTarget:      s.cfg.SLOLatency,
 			LatencyThreshold:   s.cfg.SLOLatencyThreshold,
-			Source: func() slo.Sample {
-				return slo.Sample{
-					Total:  t.sloTotal.Load(),
-					Errors: t.sloErrors.Load(),
-					Slow:   t.sloSlow.Load(),
-				}
-			},
+			Source:             t.sloSample,
 		})
 		t.slo.Start()
 		s.tenants[name] = t
 	}
 	if spillBytes > 0 {
-		s.spill = newLRU(s.cfg.CacheEntries, spillBytes)
-		labels := obs.Labels{"tenant": spillTenant}
-		s.spillBytes = reg.Gauge("lognic_serve_cache_partition_bytes",
-			"per-tenant cache partition occupancy in bytes", labels)
-		s.spillEntries = reg.Gauge("lognic_serve_cache_partition_entries",
-			"per-tenant cache partition occupancy in entries", labels)
-		reg.Gauge("lognic_serve_cache_partition_budget_bytes",
-			"per-tenant cache partition byte budget (0 = unbounded)", labels).Set(float64(spillBytes))
+		spill := newPartition(reg, spillTenant, s.cfg.CacheEntries, spillBytes)
+		s.spill = spill.cache
+		s.partitions = append(s.partitions, &spill)
 	}
 }
+
+// tenanted reports whether TenantWeights configured tenancy. It is the
+// only difference between a tenanted server and an untenanted one, whose
+// table holds just the default tenant: it decides whether tenant names
+// appear as metric labels, span args and log attributes (tenant.label),
+// as /v1/slo rows, and as snapshot entry prefixes.
+func (s *Server) tenanted() bool { return s.cfg.TenantWeights != nil }
 
 // claimedTenant is the tenant name the client asserted ("" when absent).
 // Used verbatim in logs; metrics use the resolved bucket so cardinality
@@ -338,86 +330,87 @@ func claimedTenant(r *http.Request) string {
 	return r.Header.Get("X-Tenant")
 }
 
-// tenantFor resolves a claimed tenant name to its bucket — nil when
-// tenancy is disabled, the default tenant for unknown or absent names.
+// tenantFor resolves a claimed tenant name to its bucket — the default
+// tenant for unknown or absent names, and for every name on an
+// untenanted server.
 func (s *Server) tenantFor(claimed string) *tenant {
-	if len(s.tenants) == 0 {
-		return nil
-	}
 	if t := s.tenants[claimed]; t != nil {
 		return t
 	}
 	return s.tenants[defaultTenant]
 }
 
-// l1For picks the request's L1 index: the tenant partition's slice under
-// tenancy, the shared index otherwise (nil when caching is disabled).
-func (s *Server) l1For(ten *tenant) *lruCache {
-	if ten != nil {
-		return ten.l1
+// labels adds the tenant label to a metric label set, leaving the lone
+// default tenant of an untenanted server unlabeled.
+func (t *tenant) labels(l obs.Labels) obs.Labels {
+	if t.label != "" {
+		l["tenant"] = t.label
 	}
-	return s.l1
+	return l
 }
 
 // cacheGet probes the canonical tier for one request: the tenant's
 // partition first, then the shared spillover pool.
-func (s *Server) cacheGet(ten *tenant, key string) ([]byte, bool) {
-	if ten == nil {
-		if s.cache == nil {
-			return nil, false
-		}
-		return s.cache.Get(key)
+func (s *Server) cacheGet(t *tenant, key string) ([]byte, bool) {
+	body, ok := t.cache.Get(key)
+	if !ok {
+		body, ok = s.spill.Get(key)
 	}
-	if ten.cache == nil {
-		return nil, false
-	}
-	if body, ok := ten.cache.Get(key); ok {
-		return body, true
-	}
-	if s.spill != nil {
-		return s.spill.Get(key)
-	}
-	return nil, false
+	return body, ok
 }
 
 // cachePut stores one response. An entry too large for the tenant's
 // partition goes to the spillover pool (when configured), where it
 // competes with every tenant's oversized entries instead of evicting
 // this tenant's warm set.
-func (s *Server) cachePut(ten *tenant, key string, body []byte) {
-	if ten == nil {
-		if s.cache != nil {
-			s.cache.Put(key, body)
-		}
-		return
-	}
-	if ten.cache == nil {
-		return
-	}
-	if ten.cache.Put(key, body) {
-		return
-	}
-	if s.spill != nil {
+func (s *Server) cachePut(t *tenant, key string, body []byte) {
+	if !t.cache.Put(key, body) {
 		s.spill.Put(key, body)
 	}
 }
 
-// countHit tallies a cache hit against the server and the tenant.
-func (s *Server) countHit(ten *tenant, l1 bool) {
+// countHit tallies a cache hit against the server and the tenant. A hit
+// moves no entries or bytes, so only the hit ratio needs refreshing.
+func (s *Server) countHit(t *tenant, l1 bool) {
 	s.hits.Inc()
+	t.hits.Inc()
 	if l1 {
 		s.l1Hits.Inc()
 	}
-	if ten != nil {
-		ten.hits.Inc()
-	}
-	s.updateCacheGauges()
+	s.updateHitRatio()
 }
 
-// tenantDrainEstimate is queueDrainEstimate scoped to one tenant's
-// reserved slice of the pool: its backlog drained by its own workers at
-// the recent mean service time.
-func (s *Server) tenantDrainEstimate(t *tenant) time.Duration {
+// countSLO tallies one finished request against the tenant's SLO
+// counters: 429s are load shedding, not budget burn; 5xx burns
+// availability; slow successes burn latency.
+func (t *tenant) countSLO(code int, slow bool) {
+	if code == http.StatusTooManyRequests {
+		return
+	}
+	t.sloTotal.Add(1)
+	switch {
+	case code >= 500:
+		t.sloErrors.Add(1)
+	case code < 400 && slow:
+		t.sloSlow.Add(1)
+	}
+}
+
+// sloSample reads the tenant's SLO counters.
+func (t *tenant) sloSample() slo.Sample {
+	return slo.Sample{
+		Total:  t.sloTotal.Load(),
+		Errors: t.sloErrors.Load(),
+		Slow:   t.sloSlow.Load(),
+	}
+}
+
+// drainEstimate predicts how long a request shed from tenant t should
+// wait before retrying: the tenant's backlog divided across its worker
+// slice at the recent mean service time. Before any evaluation completes
+// it assumes a cheap one — better to invite an early retry than park
+// clients a minute.
+func (s *Server) drainEstimate(t *tenant) time.Duration {
 	mean := math.Float64frombits(s.svcMean.Load())
 	if mean <= 0 {
 		mean = 0.05

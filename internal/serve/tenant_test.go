@@ -402,8 +402,8 @@ func TestTenantSnapshotRoundTrip(t *testing.T) {
 	if n, _, err := c.WarmCache(path); err != nil || n != 4 {
 		t.Fatalf("flatten warm = %d, %v; want 4", n, err)
 	}
-	if c.cache.Len() != 4 {
-		t.Fatalf("flattened cache has %d entries, want 4", c.cache.Len())
+	if c.tenants[defaultTenant].cache.Len() != 4 {
+		t.Fatalf("flattened cache has %d entries, want 4", c.tenants[defaultTenant].cache.Len())
 	}
 	respC, _ := post(t, tsC.Client(), tsC.URL+"/v1/estimate", bodies["beta"])
 	if respC.Header.Get("X-Cache") != "hit" {
