@@ -9,7 +9,6 @@ package lognic
 // cmd/lognic-bench for the full tables.
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -26,7 +25,6 @@ import (
 	"lognic/internal/optimizer"
 	"lognic/internal/queueing"
 	"lognic/internal/sim"
-	"lognic/internal/simtest"
 	"lognic/internal/traffic"
 	"lognic/internal/unit"
 )
@@ -463,67 +461,20 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ReportMetric(float64(packets)/b.Elapsed().Seconds()*float64(b.N), "pkts/s")
 }
 
-// BenchmarkShardedEngine measures the sharded event engine (ISSUE 9) on
-// the 64-tenant microservice mesh at 1/2/4/8 shards, plus the two
-// heaviest paper figures regenerated with sharded replications. Every
-// sharded run's Result digest is compared against the serial run's —
-// a drift fails the benchmark, so perf numbers can never be quoted from
-// a run that broke the determinism contract. Speedup is hardware-bound:
-// shards are goroutines, so wall-clock gains need GOMAXPROCS ≥ shards
-// (cmd/lognic-bench's BENCH_SHARDED.json records the host core count
-// next to the numbers for exactly that reason).
-func BenchmarkShardedEngine(b *testing.B) {
+// BenchmarkMesh64 runs the 64-tenant microservice mesh (sim.MeshConfig,
+// 385 vertices), the engine's large-graph benchmark: the golden scenarios
+// are a handful of vertices each, so this is where per-event costs that
+// scale with graph width would show.
+func BenchmarkMesh64(b *testing.B) {
 	cfg, err := sim.MeshConfig(64, 0.7, 1, 2e-4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	serialRes, err := sim.Run(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := simtest.ResultDigest(serialRes)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("mesh64/shards=%d", shards), func(b *testing.B) {
-			c := cfg
-			c.Shards = shards
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := simtest.ResultDigest(res); got != want {
-					b.Fatalf("shards=%d result digest %s, serial %s", shards, got, want)
-				}
-			}
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-		})
-	}
-	for _, fig := range []string{"fig6", "fig11"} {
-		b.Run(fig+"/shards=2", func(b *testing.B) {
-			gen, err := experiments.ByID(fig)
-			if err != nil {
-				b.Fatal(err)
-			}
-			serialFig, err := gen.Run(benchOpts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			o := benchOpts
-			o.Shards = 2
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				shardedFig, err := gen.Run(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if simtest.FigureDigest(shardedFig) != simtest.FigureDigest(serialFig) {
-					b.Fatalf("%s: sharded replications changed figure output", fig)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -74,7 +74,6 @@ func main() {
 	format := flag.String("format", "text", "output format: text, csv or md")
 	summary := flag.Bool("summary", false, "print the paper-vs-reproduction summary table")
 	parallel := flag.Int("parallel", 0, "sweep worker count per figure (0 = GOMAXPROCS); results are identical at any worker count")
-	shards := flag.Int("shards", 0, "event-engine shards per replication (0/1 = serial; results are identical at any count)")
 	metricsOut := flag.String("metrics", "", "write accumulated metrics (Prometheus text format) to this file")
 	traceOut := flag.String("trace", "", "sample packet spans into this Chrome trace_event file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /metrics and /runtime on this address while running")
@@ -102,7 +101,7 @@ func main() {
 
 	opts := experiments.Options{
 		Scale: *scale, Seed: *seed, SeedSet: true, Workers: *parallel,
-		Metrics: reg, Trace: tracer, Shards: *shards,
+		Metrics: reg, Trace: tracer,
 	}
 	workers := *parallel
 	if workers <= 0 {

@@ -34,7 +34,6 @@ func main() {
 	duration := flag.Float64("duration", 0.2, "simulated seconds")
 	seed := flag.Int64("seed", 1, "random seed")
 	det := flag.Bool("det", false, "deterministic service times (mean instead of exponential)")
-	shards := flag.Int("shards", 0, "event-engine shards (0/1 = serial; results are identical at any count)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON")
 	metricsOut := flag.String("metrics", "", "write run metrics (Prometheus text format) to this file")
 	traceOut := flag.String("trace", "", "write packet spans (Chrome trace_event JSON) to this file")
@@ -43,7 +42,7 @@ func main() {
 	flag.Parse()
 	lg = mustLogger(logOpts)
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: lognic-sim [-duration s] [-seed n] [-det] [-shards n] [-json] [-metrics file] [-trace file] [-pprof addr] model.json")
+		fmt.Fprintln(os.Stderr, "usage: lognic-sim [-duration s] [-seed n] [-det] [-json] [-metrics file] [-trace file] [-pprof addr] model.json")
 		os.Exit(2)
 	}
 	m, err := cli.LoadModel(flag.Arg(0))
@@ -70,7 +69,6 @@ func main() {
 		MetricsOut:    *metricsOut,
 		TraceOut:      *traceOut,
 		Registry:      reg,
-		Shards:        *shards,
 	})
 	if err != nil {
 		fatal(err)

@@ -185,11 +185,6 @@ type SimOptions struct {
 	// Registry optionally supplies the registry to record into (shared
 	// with a debug server); nil with MetricsOut set creates one.
 	Registry *obs.Registry
-	// Shards, when above 1, runs the simulation on the sharded event
-	// engine (sim.Config.Shards). Results are byte-identical to the
-	// serial engine; graphs whose correctness constraints collapse the
-	// partition silently run serially.
-	Shards int
 }
 
 // RunSim simulates the model's graph under its traffic profile and renders
@@ -214,7 +209,6 @@ func RunSim(w io.Writer, m core.Model, opts SimOptions) error {
 		DeterministicService: opts.Deterministic,
 		Metrics:              reg,
 		Spans:                tracer,
-		Shards:               opts.Shards,
 	})
 	if err != nil {
 		return err

@@ -81,14 +81,6 @@ type Options struct {
 	// trace is a sample, not a full record; single-run tracing (the
 	// `lognic trace` command) gives one coherent timeline.
 	Trace *obs.Tracer
-	// Shards, when above 1, runs every simulator replication on the
-	// sharded event engine (sim.Config.Shards): the execution graph is
-	// partitioned into vertex domains with conservative-lookahead
-	// synchronization. Results are byte-identical to serial replication
-	// by the engine's determinism contract, so figures do not change —
-	// only wall-clock does, and only for graphs the partitioner does not
-	// collapse back to one domain (see docs/SIM.md).
-	Shards int
 }
 
 func (o Options) withDefaults() Options {

@@ -136,7 +136,6 @@ func pointBuckets() []float64 { return obs.ExpBuckets(1e-4, 4, 10) }
 func runSim(ctx context.Context, o Options, cfg sim.Config) (sim.Result, error) {
 	cfg.Metrics = o.Metrics
 	cfg.Spans = o.Trace
-	cfg.Shards = o.Shards
 	s, err := sim.New(cfg)
 	if err != nil {
 		return sim.Result{}, err

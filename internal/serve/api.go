@@ -105,10 +105,9 @@ type SimulateRequest struct {
 	Deterministic bool `json:"deterministic,omitempty"`
 	// MaxEvents bounds the event budget (0 uses the server default).
 	MaxEvents uint64 `json:"max_events,omitempty"`
-	// Shards, when above 1, runs the simulation on the sharded event
-	// engine. Results are byte-identical to serial runs (equal seeds
-	// still give equal, cacheable results); async jobs with Shards > 1
-	// skip checkpointing, so a crashed attempt restarts from the top.
+	// Deprecated: Shards has no effect; the simulator has one serial
+	// engine. It is still accepted so existing clients keep working, and
+	// a negative value is still rejected (400).
 	Shards int `json:"shards,omitempty"`
 }
 

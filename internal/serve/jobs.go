@@ -287,9 +287,7 @@ func (s *Server) runSimulateJob(ctx context.Context, id string, body []byte, ck 
 			s.jobs.Progress(id, p.Events, p.SimTime, p.Checkpoints)
 		}
 	}
-	// Sharded runs cannot checkpoint (sim.ErrShardedCheckpoint); the job
-	// still runs crash-safe, it just restarts attempts from t=0.
-	if s.cfg.JobCheckpointEvery > 0 && cfg.Shards <= 1 {
+	if s.cfg.JobCheckpointEvery > 0 {
 		cfg.CheckpointEvery = s.cfg.JobCheckpointEvery
 		cfg.CheckpointSink = func(c *sim.Checkpoint) error {
 			b, err := c.Encode()

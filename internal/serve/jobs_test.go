@@ -261,6 +261,35 @@ func TestJobSurvivesRestart(t *testing.T) {
 	}
 }
 
+// An async simulate job that sets the deprecated "shards" field still
+// checkpoints, and a successor over the same JobsDir resumes the
+// interrupted attempt from that checkpoint instead of from t=0.
+func TestShardsJobCheckpointsAndResumes(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{JobsDir: dir, JobCheckpointEvery: 50000}
+	req := `{"spec": ` + sampleSpec + `, "duration": 2.0, "seed": 5, "shards": 2}`
+
+	s1, ts1 := newTestServer(t, cfg)
+	waitReady(t, ts1.Client(), ts1.URL)
+	code, v := submitJob(t, ts1.Client(), ts1.URL, "simulate", req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	waitForCheckpoint(t, dir, v.ID)
+	ts1.Close()
+	s1.Close()
+
+	_, ts2 := newTestServer(t, cfg)
+	waitReady(t, ts2.Client(), ts2.URL)
+	done := pollJob(t, ts2.Client(), ts2.URL, v.ID)
+	if done.State != "succeeded" {
+		t.Fatalf("job after restart: %+v", done)
+	}
+	if !done.Resumed {
+		t.Fatal("retried attempt did not resume from the saved checkpoint")
+	}
+}
+
 func TestReadyzDistinctFromHealthz(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	waitReady(t, ts.Client(), ts.URL)

@@ -141,6 +141,7 @@ func TestErrorStatusCodes(t *testing.T) {
 		{"no knobs", "/v1/optimize", `{"spec": ` + sampleSpec + `, "goal": "latency", "knobs": []}`, http.StatusBadRequest},
 		{"bad knob vertex", "/v1/optimize", `{"spec": ` + sampleSpec + `, "goal": "latency", "knobs": [{"vertex":"ghost","param":"queue","lo":1,"hi":2}]}`, http.StatusBadRequest},
 		{"missing duration", "/v1/simulate", `{"spec": ` + sampleSpec + `}`, http.StatusBadRequest},
+		{"negative shards", "/v1/simulate", `{"spec": ` + sampleSpec + `, "duration": 0.002, "shards": -1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

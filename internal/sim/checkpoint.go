@@ -337,12 +337,6 @@ func (s *Simulator) snapshot() *Checkpoint {
 // CheckpointSink; calling it from a Trace/Spans hook mid-dispatch
 // captures a half-applied event.
 func (s *Simulator) Checkpoint() (*Checkpoint, error) {
-	if s.plan != nil {
-		// A multi-domain run has no serial-equivalent mid-run snapshot:
-		// per-domain clocks straddle the synchronization window. Typed
-		// error instead of a corrupt snapshot; see ErrShardedCheckpoint.
-		return nil, fmt.Errorf("sim: checkpoint of a %d-domain run: %w", len(s.plan.domains), ErrShardedCheckpoint)
-	}
 	if s.gen == nil {
 		return nil, errors.New("sim: checkpoint before the run started")
 	}
@@ -373,9 +367,6 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.plan != nil {
-		return nil, fmt.Errorf("sim: resume onto a %d-domain run: %w", len(s.plan.domains), ErrShardedCheckpoint)
-	}
 
 	// Stream positions: replay the engine source's raw draws and the
 	// traffic generator's packets. Both are pure functions of the seed,
@@ -398,13 +389,18 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 			flow: ps.Flow, measure: ps.Measure, retries: ps.Retries,
 		}
 	}
+	// A live packet sits in exactly one place — one pending event or one
+	// queue slot — so a second reference would alias one record and free
+	// it twice.
+	taken := make([]bool, len(packets))
 	pkt := func(i int32) (*packet, error) {
-		if i < 0 {
-			return nil, nil
-		}
-		if int(i) >= len(packets) {
+		if i < 0 || int(i) >= len(packets) {
 			return nil, fmt.Errorf("sim: checkpoint packet index %d out of range", i)
 		}
+		if taken[i] {
+			return nil, fmt.Errorf("sim: checkpoint packet %d referenced twice", i)
+		}
+		taken[i] = true
 		return packets[i], nil
 	}
 
@@ -440,9 +436,9 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 			if ns.Queue.Shared != nil {
 				return nil, fmt.Errorf("sim: checkpoint has a shared queue at %q but config uses per-edge queues", ns.Name)
 			}
-			if len(ns.Queue.Upstreams) != len(q.order) {
-				return nil, fmt.Errorf("sim: checkpoint has %d upstream queues at %q, config builds %d",
-					len(ns.Queue.Upstreams), ns.Name, len(q.order))
+			if len(ns.Queue.Upstreams) != len(q.order) || len(ns.Queue.PerEdge) != len(q.order) {
+				return nil, fmt.Errorf("sim: checkpoint has %d upstream queues (%d with contents) at %q, config builds %d",
+					len(ns.Queue.Upstreams), len(ns.Queue.PerEdge), ns.Name, len(q.order))
 			}
 			for i, up := range ns.Queue.Upstreams {
 				if up != q.order[i] {
@@ -500,9 +496,6 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 			time: es.Time, seq: es.Seq,
 			a: es.A, b: es.B, flow: es.Flow, idx: es.Idx, kind: eventKind(es.Kind),
 		}
-		if e.pkt, err = pkt(es.Pkt); err != nil {
-			return nil, err
-		}
 		if e.node, err = vertex(i, es.Node); err != nil {
 			return nil, err
 		}
@@ -511,7 +504,23 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 				return nil, fmt.Errorf("sim: checkpoint event %d names unknown link %q", i, es.Link)
 			}
 		}
+		// Each kind must carry the operands dispatch dereferences.
 		switch e.kind {
+		case evStallRecover:
+			if e.node == nil {
+				return nil, fmt.Errorf("sim: checkpoint event %d (kind %d) names no vertex", i, es.Kind)
+			}
+		case evArriveAt, evServiceDone:
+			if e.node == nil {
+				return nil, fmt.Errorf("sim: checkpoint event %d (kind %d) names no vertex", i, es.Kind)
+			}
+			if e.pkt, err = pkt(es.Pkt); err != nil {
+				return nil, fmt.Errorf("sim: checkpoint event %d: %w", i, err)
+			}
+			if e.from, err = vertex(i, es.From); err != nil {
+				return nil, err
+			}
+		case evArrival, evWarmup:
 		case evFault:
 			if e.idx < 0 || int(e.idx) >= len(cfg.Faults) {
 				return nil, fmt.Errorf("sim: checkpoint event %d fault index %d out of range", i, e.idx)
@@ -527,9 +536,7 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 					i, es.Link, e.idx, f.Kind, f.Link)
 			}
 		default:
-			if e.from, err = vertex(i, es.From); err != nil {
-				return nil, err
-			}
+			return nil, fmt.Errorf("sim: checkpoint event %d has unknown kind %d", i, es.Kind)
 		}
 	}
 	s.events.load(evs)

@@ -19,7 +19,7 @@ import (
 // captureCheckpoints runs cfg with a sink collecting an encoded snapshot
 // every `every` events, returning the result and the serialized
 // checkpoints in capture order.
-func captureCheckpoints(t *testing.T, cfg sim.Config, every uint64) (sim.Result, [][]byte) {
+func captureCheckpoints(t testing.TB, cfg sim.Config, every uint64) (sim.Result, [][]byte) {
 	t.Helper()
 	var cks [][]byte
 	cfg.CheckpointEvery = every
@@ -146,6 +146,25 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := sim.Resume(cfg, nil); err == nil {
 		t.Error("nil checkpoint accepted")
 	}
+	wrr := goldenScenarios(t, goldenDevices(t)[0], 1)["wrr"]
+	_, wcks := captureCheckpoints(t, wrr, 5000)
+	wck, err := sim.DecodeCheckpoint(wcks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := false
+	for i := range wck.Nodes {
+		if q := &wck.Nodes[i].Queue; len(q.Upstreams) > 1 {
+			q.PerEdge = q.PerEdge[:1]
+			truncated = true
+		}
+	}
+	if !truncated {
+		t.Fatal("wrr checkpoint has no vertex with several upstream queues")
+	}
+	if _, err := sim.Resume(wrr, wck); err == nil {
+		t.Error("per-edge queue contents shorter than the upstream list accepted")
+	}
 	if _, err := sim.DecodeCheckpoint([]byte("not a checkpoint")); err == nil {
 		t.Error("garbage bytes decoded")
 	}
@@ -200,30 +219,39 @@ func TestResumeRejectsDanglingEventRefs(t *testing.T) {
 	_, cks := captureCheckpoints(t, cfg, 3000)
 	// The first checkpoint taken while the timed LinkDegrade is in force
 	// holds its pending restore (the only event naming a link) and, like
-	// every mid-run snapshot, packets in transfer from an upstream vertex.
+	// every mid-run snapshot, packets in transfer from an upstream vertex
+	// and in service. One with a packet waiting in a queue is picked too.
 	var encoded []byte
-	restore, arrive := -1, -1
+	var restore, arrive, service int
+	var queuedPkt int32
 	for _, b := range cks {
 		ck, err := sim.DecodeCheckpoint(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restore, arrive = -1, -1
+		restore, arrive, service, queuedPkt = -1, -1, -1, -1
 		for i, e := range ck.Events {
 			switch {
 			case e.Link != "":
 				restore = i
 			case e.From != "":
 				arrive = i
+			case e.Kind == sim.KindServiceDone:
+				service = i
 			}
 		}
-		if restore >= 0 && arrive >= 0 {
+		for _, n := range ck.Nodes {
+			if len(n.Queue.Shared) > 0 {
+				queuedPkt = n.Queue.Shared[0].Pkt
+			}
+		}
+		if restore >= 0 && arrive >= 0 && service >= 0 && queuedPkt >= 0 {
 			encoded = b
 			break
 		}
 	}
 	if encoded == nil {
-		t.Fatal("no checkpoint holds both a pending link restore and an in-transfer arrival")
+		t.Fatal("no checkpoint holds a pending link restore, an in-transfer arrival, a service and a queued packet")
 	}
 	for _, tc := range []struct {
 		name, want string
@@ -233,6 +261,17 @@ func TestResumeRejectsDanglingEventRefs(t *testing.T) {
 		{"unknown link", "unknown link", func(c *sim.Checkpoint) { c.Events[restore].Link = "no-such-link" }},
 		{"restore index past schedule", "out of range", func(c *sim.Checkpoint) { c.Events[restore].Idx = int32(len(cfg.Faults)) }},
 		{"negative restore index", "out of range", func(c *sim.Checkpoint) { c.Events[restore].Idx = -1 }},
+		{"arrival at no vertex", "names no vertex", func(c *sim.Checkpoint) { c.Events[arrive].Node = "" }},
+		{"service at no vertex", "names no vertex", func(c *sim.Checkpoint) { c.Events[service].Node = "" }},
+		{"stall recovery at no vertex", "names no vertex", func(c *sim.Checkpoint) {
+			e := &c.Events[restore]
+			e.Kind, e.Node, e.From, e.Link = sim.KindStallRecover, "", "", ""
+		}},
+		{"arrival without packet", "packet index -1", func(c *sim.Checkpoint) { c.Events[arrive].Pkt = -1 }},
+		{"service without packet", "packet index -1", func(c *sim.Checkpoint) { c.Events[service].Pkt = -1 }},
+		{"unknown kind", "unknown kind", func(c *sim.Checkpoint) { c.Events[arrive].Kind = 200 }},
+		{"packet on two events", "referenced twice", func(c *sim.Checkpoint) { c.Events[service].Pkt = c.Events[arrive].Pkt }},
+		{"packet on an event and a queue slot", "referenced twice", func(c *sim.Checkpoint) { c.Events[arrive].Pkt = queuedPkt }},
 	} {
 		ck, err := sim.DecodeCheckpoint(encoded)
 		if err != nil {
@@ -247,4 +286,46 @@ func TestResumeRejectsDanglingEventRefs(t *testing.T) {
 			t.Errorf("%s: Resume err = %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// fuzzReplayBound caps the stream positions FuzzResume replays. Resume
+// fast-forwards both random streams draw by draw, so its cost is linear
+// in them; a mutated counter near 2^64 is slow, not unsafe.
+const fuzzReplayBound = 1 << 20
+
+// FuzzResume feeds arbitrary bytes down the on-disk checkpoint path —
+// DecodeCheckpoint, Resume, Run — seeded with real snapshots of two golden
+// scenarios (shared and per-edge queues, faults and retries). A checkpoint
+// file crosses a trust boundary: every input must end in an error or a
+// completed run, never a panic.
+func FuzzResume(f *testing.F) {
+	d := goldenDevices(f)[0]
+	var cfgs []sim.Config
+	for _, name := range []string{"faults-retry", "wrr"} {
+		cfg := goldenScenarios(f, d, 1)[name]
+		_, cks := captureCheckpoints(f, cfg, 1000)
+		for _, b := range cks[:min(3, len(cks))] {
+			f.Add(b)
+		}
+		// A corrupt snapshot may schedule far more work than the
+		// original run; the budget keeps every input fast.
+		cfg.MaxEvents = 1 << 16
+		cfgs = append(cfgs, cfg)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ck, err := sim.DecodeCheckpoint(b)
+		if err != nil {
+			return
+		}
+		if ck.RNGDraws > fuzzReplayBound || ck.GenPackets > fuzzReplayBound {
+			t.Skip("stream positions beyond the replay bound")
+		}
+		for _, cfg := range cfgs {
+			s, err := sim.Resume(cfg, ck)
+			if err != nil {
+				continue
+			}
+			_, _ = s.Run()
+		}
+	})
 }

@@ -111,9 +111,6 @@ func newEventQueue(n int) eventQueue {
 
 func (q *eventQueue) len() int { return len(q.keys) }
 
-// next is the earliest pending fire time; the queue must be non-empty.
-func (q *eventQueue) next() float64 { return q.keys[0].time }
-
 // push stores the event in a free slab slot and inserts its key, sifting
 // the hole up instead of swapping so each level costs one key copy.
 func (q *eventQueue) push(e *event) {
@@ -193,15 +190,7 @@ func (q *eventQueue) load(evs []event) {
 // schedule stamps the event with the fire time and the next sequence
 // number and inserts it. The sequence counter is the determinism anchor:
 // equal-time events fire in schedule order, exactly like the seed engine.
-// Sharded domains stamp an intrinsic partition-invariant key instead (see
-// shard.go), so the (time, seq) order is identical at every shard count.
 func (s *Simulator) schedule(t float64, e event) {
-	if s.sh != nil {
-		e.time = t
-		e.seq = s.intrinsicKey(&e)
-		s.events.push(&e)
-		return
-	}
 	s.seq++
 	e.time = t
 	e.seq = s.seq

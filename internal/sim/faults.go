@@ -200,8 +200,8 @@ func (s *Simulator) scheduleFaults() {
 }
 
 // applyFault executes one injection at the current simulation time. idx is
-// the fault's index in the schedule: recovery events carry it so their
-// heap keys stay partition-invariant under sharding.
+// the fault's index in the schedule: evLinkRestore finds the link it
+// restores through it, and checkpoints record it on both recovery events.
 func (s *Simulator) applyFault(f Fault, idx int32) {
 	switch f.Kind {
 	case EngineDown:
@@ -288,14 +288,7 @@ func (s *Simulator) drain(n *node) {
 }
 
 // traceFault emits a packet-less trace event for a fault transition.
-// Sharded domains buffer it in emission order for the merged replay.
 func (s *Simulator) traceFault(kind TraceKind, where string) {
-	if s.sh != nil {
-		if s.sh.traceOn {
-			s.sh.addTrace(kind, s.now, where, 0, 0)
-		}
-		return
-	}
 	if s.cfg.Trace == nil {
 		return
 	}

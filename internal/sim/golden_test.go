@@ -40,7 +40,7 @@ type goldenDevice struct {
 
 const goldenPkt = 1500.0
 
-func goldenDevices(t *testing.T) []goldenDevice {
+func goldenDevices(t testing.TB) []goldenDevice {
 	t.Helper()
 	lio := devices.LiquidIO2CN2360()
 	md5, err := lio.Accel("md5")
@@ -76,7 +76,7 @@ func goldenDevices(t *testing.T) []goldenDevice {
 // (δ 0.6/0.4) over shared-interface and memory media, a dedicated
 // characterized link on b→sink, a computation-transfer overhead at front,
 // and a two-input merge at sink (the WRR scenario's scheduler input).
-func fanoutGraph(t *testing.T, d goldenDevice) *core.Graph {
+func fanoutGraph(t testing.TB, d goldenDevice) *core.Graph {
 	t.Helper()
 	g, err := core.NewBuilder("golden-fanout-" + d.name).
 		AddIngress("in").
@@ -112,7 +112,7 @@ func fanoutGraph(t *testing.T, d goldenDevice) *core.Graph {
 
 // chainGraph is in → ip → out with a finite queue, the fault/retry and
 // deterministic scenarios' shape.
-func chainGraph(t *testing.T, d goldenDevice, engines, queueCap int) *core.Graph {
+func chainGraph(t testing.TB, d goldenDevice, engines, queueCap int) *core.Graph {
 	t.Helper()
 	g, err := core.NewBuilder("golden-chain-"+d.name).
 		AddIngress("in").
@@ -136,7 +136,7 @@ func goldenDuration(offeredBW float64) float64 {
 }
 
 // goldenScenarios returns the named configs for one device at one seed.
-func goldenScenarios(t *testing.T, d goldenDevice, seed int64) map[string]sim.Config {
+func goldenScenarios(t testing.TB, d goldenDevice, seed int64) map[string]sim.Config {
 	t.Helper()
 	offered := 0.6 * d.lineRate
 	dur := goldenDuration(offered)
@@ -239,6 +239,31 @@ func TestGoldenDigests(t *testing.T) {
 				g.Check(t, simtest.Key(d.name, name, "seed", seed, "trace"), th.Sum())
 			}
 		}
+	}
+}
+
+// TestMeshGoldenDigests pins the 64-tenant microservice mesh (mesh.go),
+// the large-graph scenario: its Result and full trace-stream digests at
+// two seeds.
+func TestMeshGoldenDigests(t *testing.T) {
+	g := simtest.LoadGolden(t, "testdata/mesh_digests.json")
+	defer g.Save(t)
+	for _, seed := range []int64{1, 2} {
+		cfg, err := sim.MeshConfig(64, 0.7, seed, 2e-4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := simtest.NewTraceHasher()
+		cfg.Trace = th.Hook
+		res, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatalf("seed%d: %v", seed, err)
+		}
+		if res.DeliveredPackets == 0 {
+			t.Fatalf("seed%d: mesh delivered no packets", seed)
+		}
+		g.Check(t, simtest.Key("mesh64", "seed", seed, "result"), simtest.ResultDigest(res))
+		g.Check(t, simtest.Key("mesh64", "seed", seed, "trace"), th.Sum())
 	}
 }
 

@@ -1,21 +1,18 @@
 package sim
 
-// This file builds the multi-tenant microservice-mesh scenario the sharded
-// engine (shard.go) is benchmarked and differentially tested on. The shape
-// is the one conservative parallel DES rewards: a load balancer fans whole
-// flows out to per-tenant service chains that barely interact, every
-// vertex pays a real computation-transfer overhead (so cross-domain edges
-// carry a useful lookahead window), and the few tenant-to-tenant calls are
-// sparse enough that domains spend their windows computing, not
-// synchronizing.
+// This file builds the multi-tenant microservice-mesh scenario: the
+// large-graph golden scenario (TestMeshGoldenDigests) and the engine's
+// large-graph benchmark (BenchmarkMesh64). A flow-hash load balancer fans
+// whole flows out to per-tenant service chains joined by sparse
+// tenant-to-tenant calls; at 64 tenants that is 385 vertices, an order of
+// magnitude more than the catalog-derived golden graphs, so it exercises
+// the event heap and the routing tables at a realistic deployment width.
 //
-// The scenario is deliberately RNG-free outside the traffic generator —
-// deterministic service, flow-hash routing at every fan-out — so the
-// partitioner (partition.go) is not forced to collapse it into a single
-// domain, and tie-free — every tenant's throughputs, overheads and link
-// bandwidths carry a small index-dependent jitter, so no two unrelated
-// events share a float64 timestamp and serial and sharded runs order
-// events identically.
+// The scenario is RNG-free outside the traffic generator — deterministic
+// service, flow-hash routing at every fan-out — and tie-free: every
+// tenant's throughputs, overheads and link bandwidths carry a small
+// index-dependent jitter, so no two unrelated events share a float64
+// timestamp and its digests do not hinge on same-time tie-breaking.
 
 import (
 	"fmt"
@@ -26,26 +23,23 @@ import (
 )
 
 // Mesh scenario parameters. Stage rates and overheads are jittered per
-// tenant and per stage so every event timestamp in the run is unique
-// (tie-freeness is what makes serial and sharded executions comparable
-// event-for-event, not just statistically).
+// tenant and per stage so every event timestamp in the run is unique.
 const (
-	meshStages    = 5       // service chain depth per tenant
-	meshStageRate = 2e9     // base per-stage compute rate, bytes/second
-	meshLinkBW    = 12.5e9  // base dedicated inter-stage link, bytes/second
-	meshOverhead  = 8e-6    // base computation-transfer overhead, seconds
-	meshQueueCap  = 64      // per-stage logical input queue
-	meshFlowLen   = 8       // mean packets per flow (flow-hash granularity)
-	meshCrossFrac = 0.1     // flow fraction a calling tenant sends across
+	meshStages    = 5      // service chain depth per tenant
+	meshStageRate = 2e9    // base per-stage compute rate, bytes/second
+	meshLinkBW    = 12.5e9 // base dedicated inter-stage link, bytes/second
+	meshOverhead  = 8e-6   // base computation-transfer overhead, seconds
+	meshQueueCap  = 64     // per-stage logical input queue
+	meshFlowLen   = 8      // mean packets per flow (flow-hash granularity)
+	meshCrossFrac = 0.1    // flow fraction a calling tenant sends across
 )
 
 // meshSizes is the request-size mix. Prime sizes matter: with deterministic
 // service, a single fixed size makes busy-period completion times constant
 // offsets from earlier arrivals, and two unrelated packets can then land on
-// the same float64 timestamp (the serial engine breaks such ties by
-// schedule order, the sharded engine by packet id — a digest divergence).
-// Distinct prime sizes give every packet its own service and transfer
-// times, so timestamps collide only by 2^-52 accident, not by structure.
+// the same float64 timestamp. Distinct prime sizes give every packet its
+// own service and transfer times, so timestamps collide only by 2^-52
+// accident, not by structure.
 var meshSizes = []unit.Size{941, 1021, 1103, 1187}
 
 // meshJitter breaks throughput/overhead/bandwidth symmetry between tenants
@@ -61,8 +55,7 @@ func meshJitter(tenant, stage int) float64 {
 // tenant, and a sparse tenant-to-tenant call edge from every eighth tenant
 // to the tenant four slots later. load is the offered fraction of
 // aggregate stage capacity (values above 1 saturate the mesh); duration is
-// the simulated time. The returned config runs serially as-is; set
-// Shards to parallelize it.
+// the simulated time.
 func MeshConfig(tenants int, load float64, seed int64, duration float64) (Config, error) {
 	if tenants < 1 {
 		return Config{}, fmt.Errorf("sim: mesh needs at least one tenant, got %d", tenants)

@@ -126,13 +126,9 @@ type Config struct {
 	// serving request or job attempt that launched it.
 	TraceID      string
 	ParentSpanID string
-	// Shards, when above 1, partitions the execution graph into vertex
-	// domains and runs one event loop per domain with conservative
-	// lookahead synchronization on cross-domain edges (see shard.go and
-	// docs/SIM.md). 0 and 1 keep the serial engine, as does any graph
-	// whose correctness constraints collapse the partition to one domain.
-	// Sharded runs cannot checkpoint: combining Shards > 1 with
-	// CheckpointEvery fails with ErrShardedCheckpoint.
+	// Deprecated: Shards has no effect; the engine is serial (docs/SIM.md,
+	// "Why the engine is serial"). It remains so existing configs compile,
+	// and a negative value is still rejected.
 	Shards int
 }
 
@@ -429,10 +425,6 @@ type routeChoice struct {
 	dedPerByte  float64 // bytes over the dedicated link per packet byte
 	dedicated   *link
 	overhead    float64 // O of the source vertex
-	// remote marks a cross-domain edge on a sharded run: depart hands the
-	// packet to the domain remoteDom instead of scheduling locally.
-	remote    bool
-	remoteDom int32
 }
 
 // Simulator executes a Config.
@@ -462,14 +454,6 @@ type Simulator struct {
 	packetSeq uint64      // span track ids
 	processed uint64      // events executed, for the events counter
 	free      []*packet   // packet record free list
-
-	// plan, when non-nil, is the multi-domain partition a sharded run
-	// executes (Config.Shards > 1 and the graph actually splits). sh is
-	// set only on the per-domain executors a sharded run builds: its
-	// presence switches schedule/depart/complete/trace onto the sharded
-	// paths.
-	plan *shardPlan
-	sh   *shardCtx
 
 	warmEnd float64
 	// measurement accumulators
@@ -677,20 +661,6 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	s.initObs()
-	if cfg.Shards > 1 {
-		pl, err := buildPlan(s, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		// A one-domain partition (the constraint closure swallowed the
-		// graph) stays on the serial engine — trivially byte-identical.
-		if len(pl.domains) > 1 {
-			if cfg.CheckpointEvery > 0 {
-				return nil, fmt.Errorf("sim: CheckpointEvery with %d domains: %w", len(pl.domains), ErrShardedCheckpoint)
-			}
-			s.plan = pl
-		}
-	}
 	return s, nil
 }
 
@@ -710,17 +680,6 @@ func (s *Simulator) Run() (Result, error) {
 	return s.RunContext(context.Background())
 }
 
-// Domains reports how many event-loop domains this simulator will run: 1
-// for the serial engine (including sharded configs whose correctness
-// constraints collapsed the partition), or the domain count of the sharded
-// plan. Callers use it to tell whether Config.Shards actually took effect.
-func (s *Simulator) Domains() int {
-	if s.plan == nil {
-		return 1
-	}
-	return len(s.plan.domains)
-}
-
 // RunContext executes the simulation under a context: cancellation or
 // deadline expiry aborts the run with the context's error. The run also
 // aborts with ErrBudgetExceeded once it processes more than
@@ -728,9 +687,6 @@ func (s *Simulator) Domains() int {
 // progress watchdog sees the simulated clock pinned at one timestamp —
 // both turn a pathological config into a typed error instead of a hang.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
-	if s.plan != nil {
-		return s.runSharded(ctx)
-	}
 	if !s.resumed {
 		// The traffic stream is a hashed derivation of the base seed, not
 		// seed arithmetic: with the old cfg.Seed+1 scheme, run N's traffic
@@ -926,16 +882,8 @@ func (s *Simulator) arriveAt(n *node, from *node, p *packet) {
 	n.queueTW.set(s.now, float64(n.queue.length()))
 }
 
-// trace emits an event to the configured hook, if any. Sharded domains
-// buffer instead: the hook replays the merged stream in deterministic
-// order after the run.
+// trace emits an event to the configured hook, if any.
 func (s *Simulator) trace(kind TraceKind, vertex string, p *packet) {
-	if s.sh != nil {
-		if s.sh.traceOn {
-			s.sh.addTrace(kind, s.now, vertex, p.size, p.born)
-		}
-		return
-	}
 	if s.cfg.Trace == nil {
 		return
 	}
@@ -1014,13 +962,6 @@ func (s *Simulator) depart(n *node, p *packet) {
 	if t > s.now {
 		s.span(rc.span, obs.CatTransfer, p, s.now, t-s.now, nil)
 	}
-	if rc.remote {
-		// Cross-domain edge on a sharded run: hand the packet to the
-		// owning domain. t ≥ now + overhead ≥ the window horizon, so the
-		// receiver can never see a straggler.
-		s.sendRemote(rc, n.v.Name, t, p)
-		return
-	}
 	s.schedule(t, event{kind: evArriveAt, node: rc.toNode, from: n, pkt: p})
 }
 
@@ -1078,16 +1019,6 @@ func (s *Simulator) complete(n *node, p *packet) {
 	if s.metrics != nil {
 		s.metrics.delivered.Inc()
 		s.metrics.latency.Observe(s.now - p.born)
-	}
-	if s.sh != nil {
-		// Sharded domain: buffer the completion; the merge replays all
-		// domains' deliveries in global (time, id) order so the latency
-		// accumulators sum in the serial order.
-		if p.measure {
-			s.sh.deliveries = append(s.sh.deliveries, delivery{t: s.now, id: p.id, born: p.born, size: p.size})
-		}
-		s.freePacket(p)
-		return
 	}
 	if p.measure {
 		s.deliveredPackets++

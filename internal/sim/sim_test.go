@@ -50,6 +50,19 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestShardsValidation keeps the deprecated Config.Shards field validated:
+// it has no effect, but a negative value is still a configuration error.
+func TestShardsValidation(t *testing.T) {
+	cfg, err := MeshConfig(64, 0.7, 1, 2e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shards = -1
+	if _, err := New(cfg); err == nil {
+		t.Fatal("negative Shards accepted")
+	}
+}
+
 func TestLowLoadDelivery(t *testing.T) {
 	// 10% load, big queue: everything offered should be delivered and
 	// throughput should track the offered rate.
