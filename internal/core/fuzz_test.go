@@ -106,3 +106,69 @@ func FuzzNewGraph(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWithVertex checks WithVertex against the constructor it shortcuts:
+// replacing one vertex of a valid graph (keeping its kind or not) must
+// agree with NewGraph over the edited vertex list — the same error, or
+// the same vertices, edges, paths and estimate. Use
+// `go test -fuzz=FuzzWithVertex ./internal/core` to explore.
+func FuzzWithVertex(f *testing.F) {
+	// Valid graphs: in -> v1 -> out, and a 50/50 fork-join.
+	chain := []byte{1, 0, 0, 0, 2, 0, 16, 3, 65, 0, 0, 0, 2, 0, 1, 16, 16, 0, 1, 2, 16, 0, 0}
+	fork := []byte{2, 0, 0, 0, 2, 0, 16, 3, 10, 0, 32, 1, 20, 0, 0, 0, 2,
+		0, 1, 8, 8, 0, 0, 2, 8, 8, 0, 1, 3, 8, 0, 0, 2, 3, 8, 0, 0}
+	f.Add(chain, byte(1), byte(0), byte(32), byte(5), byte(9))   // same kind, new parameters
+	f.Add(chain, byte(1), byte(0), byte(255), byte(5), byte(9))  // same kind, NaN throughput
+	f.Add(chain, byte(1), byte(3), byte(32), byte(5), byte(2))   // IP becomes an ingress
+	f.Add(chain, byte(2), byte(0), byte(32), byte(5), byte(2))   // egress parameters
+	f.Add(chain, byte(0), byte(0), byte(16), byte(0), byte(40))  // ingress given a queue
+	f.Add(chain, byte(1), byte(7), byte(16), byte(200), byte(1)) // rate limiter
+	f.Add(fork, byte(2), byte(0), byte(48), byte(7), byte(30))   // one branch retuned
+	f.Add(fork, byte(1), byte(5), byte(48), byte(7), byte(2))    // a branch becomes an egress
+	f.Fuzz(func(t *testing.T, data []byte, pick, kind, tput, par, queue byte) {
+		vertices, edges := decodeGraph(data)
+		g, err := NewGraph("fuzz", vertices, edges)
+		if err != nil {
+			return
+		}
+		i := int(pick) % len(vertices)
+		v := Vertex{
+			Name:          vertices[i].Name,
+			Kind:          vertices[i].Kind,
+			Throughput:    fuzzFloat(tput) * 1e9,
+			Parallelism:   int(par%10) - 1,
+			QueueCapacity: int(queue%70) - 2,
+		}
+		if kind%2 == 1 {
+			v.Kind = VertexKind(kind / 2 % 5)
+		}
+		edited := append([]Vertex(nil), vertices...)
+		edited[i] = v
+		got, gotErr := g.WithVertex(v)
+		want, wantErr := NewGraph("fuzz", edited, edges)
+		if gotErr != nil || wantErr != nil {
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("WithVertex error %v, NewGraph error %v", gotErr, wantErr)
+			}
+			return
+		}
+		same := func(what string, a, b any) {
+			t.Helper()
+			// %v prints floats exactly and NaN equal to NaN.
+			if fmt.Sprintf("%v", a) != fmt.Sprintf("%v", b) {
+				t.Fatalf("%s differ:\nWithVertex %v\nNewGraph   %v", what, a, b)
+			}
+		}
+		same("names", got.Name(), want.Name())
+		same("vertices", got.Vertices(), want.Vertices())
+		same("edges", got.Edges(), want.Edges())
+		gp, gerr := got.Paths()
+		wp, werr := want.Paths()
+		same("paths", []any{gp, gerr}, []any{wp, werr})
+		hw := Hardware{InterfaceBW: 10e9, MemoryBW: 20e9}
+		tr := Traffic{IngressBW: 1e9, Granularity: 1500}
+		ge, gerr := Model{Hardware: hw, Graph: got, Traffic: tr}.Estimate()
+		we, werr := Model{Hardware: hw, Graph: want, Traffic: tr}.Estimate()
+		same("estimates", []any{ge, gerr}, []any{we, werr})
+	})
+}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -285,5 +288,131 @@ func TestMultiIngressPaths(t *testing.T) {
 	}
 	if g.InDegree("ip") != 2 || g.DeltaIn("ip") != 1 {
 		t.Fatalf("indegree=%d deltaIn=%v", g.InDegree("ip"), g.DeltaIn("ip"))
+	}
+}
+
+// fanOutModel is a 70/30 split at a scheduler, with queues, so latency
+// reads every path and vertex.
+func fanOutModel(t *testing.T) Model {
+	t.Helper()
+	g, err := NewBuilder("fanout").
+		AddIngress("in").
+		AddIP("sched", 10e9, 1, 16).
+		AddIP("a1", 1e9, 2, 32).
+		AddIP("a2", 2e9, 1, 32).
+		AddEgress("out").
+		AddEdge(Edge{From: "in", To: "sched", Delta: 1, Alpha: 1}).
+		AddEdge(Edge{From: "sched", To: "a1", Delta: 0.7, Alpha: 0.7}).
+		AddEdge(Edge{From: "sched", To: "a2", Delta: 0.3, Alpha: 0.3, Bandwidth: 4e9}).
+		AddEdge(Edge{From: "a1", To: "out", Delta: 0.7, Alpha: 0.7}).
+		AddEdge(Edge{From: "a2", To: "out", Delta: 0.3, Alpha: 0.3}).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Model{
+		Hardware: Hardware{InterfaceBW: 6.25e9, MemoryBW: 20e9},
+		Graph:    g,
+		Traffic:  Traffic{IngressBW: 0.8e9, Granularity: 1500},
+	}
+}
+
+// Graph copies share one path cache, so what Paths and Latency hand out
+// must be copies: scribbling on them cannot reach the graph, its
+// WithVertex copies, or later evaluations.
+func TestPathsAreCopies(t *testing.T) {
+	m := fanOutModel(t)
+	g := m.Graph
+	wantPaths, err := g.Paths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLat, err := m.Latency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := g.Vertex("a1")
+	copyOf, err := g.WithVertex(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ps, _ := g.Paths()
+	ps[0].Vertices[1] = "scribbled"
+	ps[0].Weight = 42
+	lat, _ := m.Latency()
+	lat.Paths[0].Vertices[0] = "scribbled"
+	lat.Paths[1].Vertices = append(lat.Paths[1].Vertices, "scribbled")
+
+	for name, gg := range map[string]*Graph{"graph": g, "WithVertex copy": copyOf} {
+		got, err := gg.Paths()
+		if err != nil || !reflect.DeepEqual(got, wantPaths) {
+			t.Errorf("%s: Paths = %v, %v after mutation; want %v", name, got, err, wantPaths)
+		}
+		mm := m
+		mm.Graph = gg
+		gotLat, err := mm.Latency()
+		if err != nil || !reflect.DeepEqual(gotLat, wantLat) {
+			t.Errorf("%s: Latency changed after mutation:\n got %+v\nwant %+v", name, gotLat, wantLat)
+		}
+	}
+}
+
+// The path cache fills on first use; concurrent first uses of one fresh
+// graph must agree (and be race-free under -race).
+func TestPathsConcurrentFirstUse(t *testing.T) {
+	m := fanOutModel(t)
+	want := fmt.Sprint(m.Estimate())
+	wantPaths := fmt.Sprint(m.Graph.Paths())
+	fresh, err := NewGraph(m.Graph.Name(), m.Graph.Vertices(), m.Graph.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Graph = fresh
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				if got := fmt.Sprint(m.Graph.Paths()); got != wantPaths {
+					errs <- "Paths: " + got
+				}
+			}
+			if got := fmt.Sprint(m.Estimate()); got != want {
+				errs <- "Estimate: " + got
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// A ladder of 13 two-way forks has 2^13 paths, past maxPaths: path
+// enumeration must stop with an error rather than run away.
+func TestPathsLimit(t *testing.T) {
+	b := NewBuilder("ladder").AddIngress("in").AddEgress("out")
+	prev := "in"
+	for i := 0; i < 13; i++ {
+		a, c, join := fmt.Sprint("a", i), fmt.Sprint("c", i), fmt.Sprint("j", i)
+		b.AddIP(a, 1e9, 1, 0).AddIP(c, 1e9, 1, 0).AddIP(join, 1e9, 1, 0).
+			Connect(prev, a, 0.5).Connect(prev, c, 0.5).
+			Connect(a, join, 0.5).Connect(c, join, 0.5)
+		prev = join
+	}
+	g, err := b.Connect(prev, "out", 1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Paths(); err == nil || !strings.Contains(err.Error(), "more than 4096 paths") {
+		t.Fatalf("Paths error = %v, want the path limit", err)
+	}
+	m := Model{Hardware: Hardware{InterfaceBW: 10e9}, Graph: g, Traffic: Traffic{IngressBW: 1e9, Granularity: 1500}}
+	if _, err := m.Latency(); err == nil || !strings.Contains(err.Error(), "more than 4096 paths") {
+		t.Fatalf("Latency error = %v, want the path limit", err)
 	}
 }

@@ -59,8 +59,8 @@ type LatencyReport struct {
 	DropRate float64
 }
 
-// vertexTiming derives Equation 11's λ, μ, ρ and Equation 7's C/A for one
-// vertex under this model's traffic.
+// vertexTiming derives Equation 11's λ, μ, ρ and Equation 7's C/A for
+// vertex i under this model's traffic.
 //
 // Note Equation 7's ÷indegree: the paper treats a vertex's in-edges as
 // carrying per-edge sub-requests of one packet (each edge delivers its δ
@@ -77,14 +77,15 @@ type LatencyReport struct {
 // relative-comparison result — stays exact. The optimizer's split/placement
 // decisions are unaffected; absolute multi-path latencies carry this
 // approximation (see the cross-validation tests in internal/sim).
-func (m Model) vertexTiming(v Vertex) VertexTiming {
+func (m Model) vertexTiming(i int) VertexTiming {
 	g := m.Graph
+	v := g.vertices[i]
 	vt := VertexTiming{Name: v.Name}
-	indeg := float64(g.InDegree(v.Name))
+	indeg := float64(len(g.topo.in[i]))
 	if indeg == 0 {
 		return vt // ingress engines have no upstream queue/compute here
 	}
-	deltaIn := g.DeltaIn(v.Name)
+	deltaIn := g.topo.deltaIn[i]
 	p := v.effectiveThroughput()
 	d := float64(v.Parallelism)
 	gIn := m.Traffic.Granularity
@@ -132,39 +133,52 @@ func (m Model) Latency() (LatencyReport, error) {
 		return LatencyReport{}, err
 	}
 	g := m.Graph
-	paths, err := g.Paths()
+	paths, err := g.topo.allPaths()
 	if err != nil {
 		return LatencyReport{}, err
 	}
 	if len(paths) == 0 {
 		return LatencyReport{}, fmt.Errorf("core: graph %q has no ingress→egress path", g.Name())
 	}
-	timings := map[string]VertexTiming{}
-	for _, v := range g.Vertices() {
-		timings[v.Name] = m.vertexTiming(v)
+	timings := make([]VertexTiming, len(g.vertices))
+	rep := LatencyReport{
+		Paths:    make([]PathLatency, len(paths)),
+		Vertices: make(map[string]VertexTiming, len(g.vertices)),
 	}
-	rep := LatencyReport{Vertices: timings}
+	for i, v := range g.vertices {
+		timings[i] = m.vertexTiming(i)
+		rep.Vertices[v.Name] = timings[i]
+	}
+	// The report's path vertex lists share one slab, cut with capped
+	// capacity so that appending to one path cannot overwrite the next.
+	n := 0
 	for _, p := range paths {
-		pl := PathLatency{Vertices: p.Vertices, Weight: p.Weight}
+		n += len(p.vertices)
+	}
+	names := make([]string, 0, n)
+	for k, h := range paths {
+		at := len(names)
+		for _, i := range h.vertices {
+			names = append(names, g.topo.names[i])
+		}
+		pl := PathLatency{Vertices: names[at:len(names):len(names)], Weight: h.weight}
 		deliver := 1.0
-		for i, name := range p.Vertices {
-			v, _ := g.Vertex(name)
-			vt := timings[name]
+		for j, i := range h.vertices {
+			vt := timings[i]
 			pl.Queueing += vt.Queue
 			pl.Compute += vt.Compute
 			deliver *= 1 - vt.DropRate
-			if i+1 < len(p.Vertices) {
+			if j+1 < len(h.vertices) {
 				// O_i is paid when transferring computation onward; the
 				// last vertex only queues and computes (Equation 6).
-				pl.Overhead += v.Overhead
-				e, _ := g.Edge(name, p.Vertices[i+1])
-				pl.Movement += e.moveTimePerPacket(m.Traffic.Granularity, m.Hardware)
+				pl.Overhead += g.vertices[i].Overhead
+				pl.Movement += g.topo.edges[h.edges[j]].moveTimePerPacket(m.Traffic.Granularity, m.Hardware)
 			}
 		}
 		pl.Total = pl.Queueing + pl.Compute + pl.Overhead + pl.Movement
-		rep.Paths = append(rep.Paths, pl)
-		rep.Attainable += p.Weight * pl.Total
-		rep.DropRate += p.Weight * (1 - deliver)
+		rep.Paths[k] = pl
+		rep.Attainable += h.weight * pl.Total
+		rep.DropRate += h.weight * (1 - deliver)
 	}
 	return rep, nil
 }
@@ -196,8 +210,8 @@ func (m Model) StableLoad() (bool, error) {
 	if err := m.Validate(); err != nil {
 		return false, err
 	}
-	for _, v := range m.Graph.Vertices() {
-		vt := m.vertexTiming(v)
+	for i, v := range m.Graph.vertices {
+		vt := m.vertexTiming(i)
 		if vt.Rho >= 1 && v.QueueCapacity > 0 {
 			return false, nil
 		}

@@ -112,9 +112,11 @@ func (m Model) Throughput() (ThroughputReport, error) {
 // capacityConstraints builds every load-independent term of Equation 4.
 func (m Model) capacityConstraints() []Constraint {
 	g := m.Graph
-	var cs []Constraint
+	t := g.topo
+	// Room for every term plus the ingress cap Throughput appends.
+	cs := make([]Constraint, 0, len(t.edges)+len(g.vertices)+3)
 	var sumAlpha, sumBeta float64
-	for _, e := range g.Edges() {
+	for _, e := range t.edges {
 		sumAlpha += e.Alpha
 		sumBeta += e.Beta
 		if e.Bandwidth > 0 && e.Delta > 0 {
@@ -125,12 +127,12 @@ func (m Model) capacityConstraints() []Constraint {
 			})
 		}
 	}
-	for _, v := range g.Vertices() {
+	for i, v := range g.vertices {
 		p := v.effectiveThroughput()
 		if p <= 0 {
 			continue // pure forwarding vertex: no compute ceiling
 		}
-		deltaIn := g.DeltaIn(v.Name)
+		deltaIn := t.deltaIn[i]
 		if deltaIn <= 0 {
 			continue // nothing routed through it
 		}

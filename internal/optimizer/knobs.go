@@ -70,7 +70,10 @@ type KnobSolution struct {
 	Exhaustive bool
 }
 
-// ApplyKnobs returns a copy of the model with the knob values set.
+// ApplyKnobs returns a copy of the model with the knob values set. Each
+// knob goes through WithVertex, which for a knob (a vertex keeping its
+// kind) is an O(V) copy sharing the graph's topology — no knob rebuilds
+// or revalidates the graph.
 func ApplyKnobs(m core.Model, knobs []IntKnob, values []int) (core.Model, error) {
 	if len(values) != len(knobs) {
 		return core.Model{}, fmt.Errorf("optimizer: %d values for %d knobs", len(values), len(knobs))

@@ -204,3 +204,68 @@ func TestSolveDiagnosticsAndInfeasibleWrap(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped numopt.ErrNoFeasibleStart", err)
 	}
 }
+
+// sixVertexModel is a fork-join pipeline, in → parse → {fast, slow} →
+// merge → out, with three knobs over its IPs: 8×8×4 = 256 points, small
+// enough for the exhaustive search.
+func sixVertexModel(tb testing.TB) (core.Model, []IntKnob) {
+	tb.Helper()
+	g, err := core.NewBuilder("fork-join").
+		AddIngress("in").
+		AddIP("parse", 4e9, 2, 32).
+		AddIP("fast", 2e9, 1, 16).
+		AddIP("slow", 1e9, 1, 16).
+		AddIP("merge", 6e9, 1, 64).
+		AddEgress("out").
+		Connect("in", "parse", 1).
+		AddEdge(core.Edge{From: "parse", To: "fast", Delta: 0.6, Alpha: 0.6}).
+		AddEdge(core.Edge{From: "parse", To: "slow", Delta: 0.4, Alpha: 0.4, Beta: 0.4}).
+		AddEdge(core.Edge{From: "fast", To: "merge", Delta: 0.6}).
+		AddEdge(core.Edge{From: "slow", To: "merge", Delta: 0.4}).
+		Connect("merge", "out", 1).
+		Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := core.Model{
+		Hardware: core.Hardware{InterfaceBW: 50e9 / 8, MemoryBW: 160e9},
+		Graph:    g,
+		Traffic:  core.Traffic{IngressBW: 1.2e9, Granularity: 1500},
+	}
+	return m, []IntKnob{
+		{Vertex: "parse", Param: KnobParallelism, Lo: 1, Hi: 8},
+		{Vertex: "fast", Param: KnobQueue, Lo: 1, Hi: 8},
+		{Vertex: "slow", Param: KnobParallelism, Lo: 1, Hi: 4},
+	}
+}
+
+// ApplyKnobs is the optimizer's per-candidate cost: each knob must copy
+// the graph sharing its topology, not rebuild it.
+func TestApplyKnobsAllocs(t *testing.T) {
+	m, knobs := sixVertexModel(t)
+	values := []int{3, 5, 2}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ApplyKnobs(m, knobs, values); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One graph header and one vertex slice per knob; a rebuild through
+	// NewGraph costs dozens of allocations per knob.
+	if limit := float64(2 * len(knobs)); allocs > limit {
+		t.Fatalf("ApplyKnobs: %.0f allocs per candidate, want at most %.0f", allocs, limit)
+	}
+}
+
+func BenchmarkSolveKnobs(b *testing.B) {
+	m, knobs := sixVertexModel(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sol, err := SolveKnobs(m, MinimizeLatency, knobs, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !sol.Exhaustive || sol.Evaluated != 256 {
+			b.Fatalf("searched %d points (exhaustive %v), want all 256", sol.Evaluated, sol.Exhaustive)
+		}
+	}
+}

@@ -33,9 +33,15 @@ func wsShape(i int) string {
 //   - estimate/miss: a new spec every time — the full path through
 //     admission, evaluation, marshal and cache put (with evictions once
 //     the cache is full).
+//   - optimize/miss: a new spec every time, searching one 8-point knob
+//     — the miss path with the optimizer's per-candidate evaluations.
 //   - simulate/miss: a new seed every time for a 2 ms simulated run.
 func BenchmarkServe(b *testing.B) {
 	estimate := estimateBody(sampleSpec)
+	uniqueSpec := func(i int) string {
+		return strings.Replace(sampleSpec,
+			`"ingress_bw": "8Gbps"`, fmt.Sprintf(`"ingress_bw": %d`, 1_000_000_000+i), 1)
+	}
 	cases := []struct {
 		name, path string
 		warm       string
@@ -46,9 +52,11 @@ func BenchmarkServe(b *testing.B) {
 		{"estimate/hit", "/v1/estimate", estimate,
 			func(i int) string { return estimate + wsShape(i) }},
 		{"estimate/miss", "/v1/estimate", "",
+			func(i int) string { return estimateBody(uniqueSpec(i)) }},
+		{"optimize/miss", "/v1/optimize", "",
 			func(i int) string {
-				return estimateBody(strings.Replace(sampleSpec,
-					`"ingress_bw": "8Gbps"`, fmt.Sprintf(`"ingress_bw": %d`, 1_000_000_000+i), 1))
+				return `{"spec": ` + uniqueSpec(i) + `, "goal": "latency", ` +
+					`"knobs": [{"vertex": "cores", "param": "parallelism", "lo": 1, "hi": 8}]}`
 			}},
 		{"simulate/miss", "/v1/simulate", "",
 			func(i int) string {
