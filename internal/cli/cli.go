@@ -15,72 +15,17 @@ import (
 
 	"lognic/internal/core"
 	"lognic/internal/obs"
+	"lognic/internal/serve"
 	"lognic/internal/sim"
 	"lognic/internal/spec"
 	"lognic/internal/traffic"
 	"lognic/internal/unit"
 )
 
-// PointResult is the JSON shape of one analytical estimate.
-type PointResult struct {
-	IngressBW    float64            `json:"ingress_bw"`
-	Throughput   float64            `json:"throughput"`
-	Bottleneck   string             `json:"bottleneck"`
-	Latency      float64            `json:"latency"`
-	DropRate     float64            `json:"drop_rate"`
-	Constraints  []ConstraintResult `json:"constraints"`
-	PathsLatency []PathResult       `json:"paths,omitempty"`
-}
-
-// ConstraintResult is one Equation 4 term.
-type ConstraintResult struct {
-	Kind  string  `json:"kind"`
-	Name  string  `json:"name,omitempty"`
-	Limit float64 `json:"limit"`
-}
-
-// PathResult is one path's latency breakdown.
-type PathResult struct {
-	Vertices []string `json:"vertices"`
-	Weight   float64  `json:"weight"`
-	Total    float64  `json:"total"`
-	Queueing float64  `json:"queueing"`
-	Compute  float64  `json:"compute"`
-	Overhead float64  `json:"overhead"`
-	Movement float64  `json:"movement"`
-}
-
-// EstimatePoint evaluates a model once.
-func EstimatePoint(m core.Model) (PointResult, error) {
-	est, err := m.Estimate()
-	if err != nil {
-		return PointResult{}, err
-	}
-	out := PointResult{
-		IngressBW:  m.Traffic.IngressBW,
-		Throughput: est.Throughput.Attainable,
-		Bottleneck: est.Throughput.Bottleneck.String(),
-		Latency:    est.Latency.Attainable,
-		DropRate:   est.Latency.DropRate,
-	}
-	for _, c := range est.Throughput.Constraints {
-		out.Constraints = append(out.Constraints, ConstraintResult{
-			Kind: c.Kind.String(), Name: c.Name, Limit: c.Limit,
-		})
-	}
-	for _, p := range est.Latency.Paths {
-		out.PathsLatency = append(out.PathsLatency, PathResult{
-			Vertices: p.Vertices, Weight: p.Weight, Total: p.Total,
-			Queueing: p.Queueing, Compute: p.Compute,
-			Overhead: p.Overhead, Movement: p.Movement,
-		})
-	}
-	return out, nil
-}
-
-// RunPoint evaluates and renders a single estimate.
+// RunPoint evaluates and renders a single estimate. Its JSON is the
+// /v1/estimate response body for the same spec, byte for byte.
 func RunPoint(w io.Writer, m core.Model, jsonOut bool) error {
-	pt, err := EstimatePoint(m)
+	pt, err := serve.EstimatePoint(m)
 	if err != nil {
 		return err
 	}
@@ -142,12 +87,12 @@ func RunSweep(w io.Writer, m core.Model, arg string, jsonOut bool) error {
 	if err != nil {
 		return err
 	}
-	var pts []PointResult
+	var pts []serve.PointResult
 	for i := 0; i < steps; i++ {
 		bw := lo + (hi-lo)*float64(i)/float64(steps-1)
 		mm := m
 		mm.Traffic.IngressBW = bw
-		pt, err := EstimatePoint(mm)
+		pt, err := serve.EstimatePoint(mm)
 		if err != nil {
 			return err
 		}
@@ -267,7 +212,7 @@ type MixResult struct {
 	// Latency is the dist_size-weighted average latency (seconds).
 	Latency float64 `json:"latency"`
 	// Components holds each slice's point estimate, in spec order.
-	Components []PointResult `json:"components"`
+	Components []serve.PointResult `json:"components"`
 }
 
 // RunMix evaluates a spec file's traffic mix (Extension #2: one model per
@@ -283,7 +228,7 @@ func RunMix(w io.Writer, f spec.File, jsonOut bool) error {
 	}
 	out := MixResult{Throughput: mix.Throughput, Latency: mix.Latency}
 	for _, c := range comps {
-		pt, err := EstimatePoint(c.Model)
+		pt, err := serve.EstimatePoint(c.Model)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lognic/internal/core"
+	"lognic/internal/serve"
 	"lognic/internal/spec"
 )
 
@@ -57,7 +58,7 @@ func testModel(t *testing.T) core.Model {
 }
 
 func TestEstimatePoint(t *testing.T) {
-	pt, err := EstimatePoint(testModel(t))
+	pt, err := serve.EstimatePoint(testModel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestRunPointJSON(t *testing.T) {
 	if err := RunPoint(&b, testModel(t), true); err != nil {
 		t.Fatal(err)
 	}
-	var pt PointResult
+	var pt serve.PointResult
 	if err := json.Unmarshal([]byte(b.String()), &pt); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
 	}
@@ -144,7 +145,7 @@ func TestRunSweepJSON(t *testing.T) {
 	if err := RunSweep(&b, testModel(t), "1Gbps:10Gbps:3", true); err != nil {
 		t.Fatal(err)
 	}
-	var pts []PointResult
+	var pts []serve.PointResult
 	if err := json.Unmarshal([]byte(b.String()), &pts); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"lognic/internal/core"
 	"lognic/internal/optimizer"
+	"lognic/internal/serve"
 	"lognic/internal/unit"
 )
 
@@ -54,23 +55,9 @@ func ParseKnob(arg string) (Knob, error) {
 // ParseGoal maps a CLI goal name.
 func ParseGoal(s string) (optimizer.Goal, error) { return optimizer.GoalFromName(s) }
 
-// OptimizeResult is the outcome of RunOptimize.
-type OptimizeResult struct {
-	// Goal names the optimized metric.
-	Goal string `json:"goal"`
-	// Knobs maps "vertex.param" to the chosen value.
-	Knobs map[string]int `json:"knobs"`
-	// Objective is the metric value at the chosen point (seconds for
-	// latency, bytes/second otherwise).
-	Objective float64 `json:"objective"`
-	// Evaluated counts model evaluations spent.
-	Evaluated int `json:"evaluated"`
-	// Exhaustive reports whether the search covered the whole space.
-	Exhaustive bool `json:"exhaustive"`
-}
-
 // RunOptimize searches the knob space for the best configuration under the
-// goal and renders the result — the CLI face of the model's optimizer mode
+// goal and renders the result; its JSON is the /v1/optimize response body
+// for the same search. It is the CLI face of the model's optimizer mode
 // (Figure 4-a's "apply for optimization" output).
 func RunOptimize(w io.Writer, m core.Model, goalName string, knobArgs []string, jsonOut bool) error {
 	if len(knobArgs) == 0 {
@@ -88,36 +75,28 @@ func RunOptimize(w io.Writer, m core.Model, goalName string, knobArgs []string, 
 		}
 		knobs = append(knobs, k)
 	}
-	sol, err := optimizer.SolveKnobs(m, goal, knobs, 1<<16)
+	// 0 selects the default budget, as a /v1/optimize request without
+	// max_evals does.
+	out, err := serve.Optimize(m, goal, knobs, 0)
 	if errors.Is(err, optimizer.ErrNoFeasible) {
 		return fmt.Errorf("cli: no feasible knob setting found")
 	}
 	if err != nil {
 		return err
 	}
-	out := OptimizeResult{
-		Goal:       goal.String(),
-		Knobs:      map[string]int{},
-		Objective:  sol.Objective,
-		Evaluated:  sol.Evaluated,
-		Exhaustive: sol.Exhaustive,
-	}
-	for i, k := range knobs {
-		out.Knobs[k.Name()] = sol.Values[i]
-	}
 	if jsonOut {
 		return json.NewEncoder(w).Encode(out)
 	}
 	fmt.Fprintf(w, "goal:      %s\n", out.Goal)
-	for i, k := range knobs {
+	for _, k := range knobs {
 		fmt.Fprintf(w, "knob:      %s.%s = %d  (searched %d..%d)\n",
-			k.Vertex, k.Param, sol.Values[i], k.Lo, k.Hi)
+			k.Vertex, k.Param, out.Knobs[k.Name()], k.Lo, k.Hi)
 	}
 	switch goal {
 	case optimizer.MinimizeLatency:
-		fmt.Fprintf(w, "objective: %s\n", unit.Duration(sol.Objective))
+		fmt.Fprintf(w, "objective: %s\n", unit.Duration(out.Objective))
 	default:
-		fmt.Fprintf(w, "objective: %s\n", unit.Bandwidth(sol.Objective))
+		fmt.Fprintf(w, "objective: %s\n", unit.Bandwidth(out.Objective))
 	}
 	fmt.Fprintf(w, "evaluated: %d configurations (exhaustive: %v)\n", out.Evaluated, out.Exhaustive)
 	return nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lognic/internal/optimizer"
+	"lognic/internal/serve"
 )
 
 func TestParseKnob(t *testing.T) {
@@ -80,7 +81,7 @@ func TestRunOptimizeLatencyGoalJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res OptimizeResult
+	var res serve.OptimizeResult
 	if err := json.Unmarshal([]byte(b.String()), &res); err != nil {
 		t.Fatal(err)
 	}

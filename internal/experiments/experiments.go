@@ -111,42 +111,61 @@ func (o Options) seedFor(figID string, point, rep int) int64 {
 	return sim.SeedStream(o.Seed, sim.StreamTag(figID), uint64(point), uint64(rep))
 }
 
-// Format renders the figure as an aligned text table, one row per x value,
-// one column per series — the "same rows/series the paper reports".
-func (f Figure) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s — %s\n", f.ID, f.Title)
-	fmt.Fprintf(&b, "# x: %s, y: %s\n", f.XLabel, f.YLabel)
-	// Collect x positions in first-series order.
-	type key struct {
-		x     float64
-		label string
-	}
-	var xs []key
-	seen := map[key]bool{}
+// XPos is one row of a figure's table: a numeric x value, or a
+// categorical position when Label is set.
+type XPos struct {
+	X     float64
+	Label string
+}
+
+// XPositions lists the rows of the figure's table: every distinct x
+// position of its points, in first-series order. Format, report.CSV and
+// report.Markdown all walk these rows.
+func (f Figure) XPositions() []XPos {
+	var xs []XPos
+	seen := map[XPos]bool{}
 	for _, s := range f.Series {
 		for _, p := range s.Points {
-			k := key{p.X, p.Label}
+			k := XPos{p.X, p.Label}
 			if !seen[k] {
 				seen[k] = true
 				xs = append(xs, k)
 			}
 		}
 	}
+	return xs
+}
+
+// At returns the series' y value at x position k; false when the series
+// has no point there.
+func (s Series) At(k XPos) (float64, bool) {
+	for _, p := range s.Points {
+		if p.X == k.X && p.Label == k.Label {
+			return p.Y, true
+		}
+	}
+	return 0, false
+}
+
+// Format renders the figure as an aligned text table, one row per x value,
+// one column per series — the "same rows/series the paper reports".
+func (f Figure) Format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# %s — %s\n", f.ID, f.Title)
+	fmt.Fprintf(&b, "# x: %s, y: %s\n", f.XLabel, f.YLabel)
 	fmt.Fprintf(&b, "%-16s", f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, "%20s", s.Name)
 	}
 	b.WriteByte('\n')
-	for _, k := range xs {
-		if k.label != "" {
-			fmt.Fprintf(&b, "%-16s", k.label)
+	for _, k := range f.XPositions() {
+		if k.Label != "" {
+			fmt.Fprintf(&b, "%-16s", k.Label)
 		} else {
-			fmt.Fprintf(&b, "%-16.6g", k.x)
+			fmt.Fprintf(&b, "%-16.6g", k.X)
 		}
 		for _, s := range f.Series {
-			v, ok := lookup(s, k.x, k.label)
-			if ok {
+			if v, ok := s.At(k); ok {
 				fmt.Fprintf(&b, "%20.6g", v)
 			} else {
 				fmt.Fprintf(&b, "%20s", "-")
@@ -155,15 +174,6 @@ func (f Figure) Format() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func lookup(s Series, x float64, label string) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x && p.Label == label {
-			return p.Y, true
-		}
-	}
-	return 0, false
 }
 
 // Generator regenerates one figure.

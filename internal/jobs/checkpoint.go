@@ -10,6 +10,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,13 +75,19 @@ func (c *ckptSlot) Save(b []byte) {
 	c.m.mu.Unlock()
 
 	if dir != "" && !degraded {
-		if err := writeCkptFile(filepath.Join(dir, ckptName(c.id)), b); err == nil {
+		err := writeCkptFile(filepath.Join(dir, ckptName(c.id)), b)
+		if err == nil {
 			return
-		} else {
-			c.m.mu.Lock()
-			c.m.degradeLocked(fmt.Errorf("checkpoint save: %w", err))
-			c.m.mu.Unlock()
 		}
+		c.m.mu.Lock()
+		if errors.Is(err, ErrRecordTooLarge) {
+			// One job's checkpoint outgrew a frame; the disk is fine. Keep
+			// this job's copy in memory and the journal open for the rest.
+			c.m.jErrors.Inc()
+		} else {
+			c.m.degradeLocked(fmt.Errorf("checkpoint save: %w", err))
+		}
+		c.m.mu.Unlock()
 	}
 	c.m.mu.Lock()
 	if j := c.m.jobs[c.id]; j != nil {

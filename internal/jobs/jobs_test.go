@@ -454,6 +454,48 @@ func TestCheckpointStoreDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// A checkpoint too large for one frame stays in memory for its job, but
+// the disk is healthy, so the journal stays open for every other job.
+func TestOversizedCheckpointKeepsJournal(t *testing.T) {
+	dir := t.TempDir()
+	big := make([]byte, maxRecordLen+1)
+	big[0], big[len(big)-1] = 'a', 'z'
+	loaded := make(chan bool, 1)
+	m1 := newTestManager(t, dir, func(ctx context.Context, id, kind string, body []byte, ck CheckpointStore) ([]byte, error) {
+		if kind == "simulate" {
+			ck.Save(big)
+			b, ok := ck.Load()
+			loaded <- ok && bytes.Equal(b, big)
+		}
+		return []byte("r:" + kind), nil
+	})
+	m1.Submit("simulate", "abcd0001", nil)
+	if !<-loaded {
+		t.Fatal("Load did not return the in-memory copy of the oversized checkpoint")
+	}
+	waitState(t, m1, "abcd0001", StateSucceeded)
+	if m1.Degraded() {
+		t.Fatal("an oversized checkpoint degraded the manager to memory-only")
+	}
+	if got := m1.jErrors.Value(); got != 1 {
+		t.Fatalf("lognic_jobs_journal_errors_total = %v, want 1", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ckptName("abcd0001"))); !os.IsNotExist(err) {
+		t.Fatalf("oversized checkpoint reached disk: %v", err)
+	}
+	m1.Submit("estimate", "abcd0002", nil)
+	waitState(t, m1, "abcd0002", StateSucceeded)
+	m1.Close()
+
+	m2 := newTestManager(t, dir, func(ctx context.Context, id, kind string, body []byte, ck CheckpointStore) ([]byte, error) {
+		return []byte("rerun"), nil
+	})
+	j, ok := m2.Get("abcd0002")
+	if !ok || j.State != StateSucceeded || string(j.Result) != "r:estimate" {
+		t.Fatalf("submit after the oversized checkpoint did not survive a restart: %+v ok=%v", j, ok)
+	}
+}
+
 func TestBackoffCappedAndJittered(t *testing.T) {
 	m, err := NewManager(Config{
 		Evaluate:    func(context.Context, string, string, []byte, CheckpointStore) ([]byte, error) { return nil, nil },

@@ -222,13 +222,15 @@ func NewMonitor(cfg Config) *Monitor {
 	return m
 }
 
-// Start launches the background polling loop.
+// Start takes the baseline sample, then launches the background polling
+// loop. The baseline is taken before Start returns, so every event the
+// source counts after that falls inside the windows.
 func (m *Monitor) Start() {
+	m.Poll()
 	go func() {
 		defer close(m.done)
 		tick := time.NewTicker(m.cfg.SampleEvery)
 		defer tick.Stop()
-		m.Poll()
 		for {
 			select {
 			case <-m.stop:

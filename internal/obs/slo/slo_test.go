@@ -206,3 +206,25 @@ func TestMonitorStartClose(t *testing.T) {
 		t.Fatal("background loop never polled")
 	}
 }
+
+// Start takes its baseline before it returns: events counted the moment
+// Start is back fall inside the windows, whenever the polling goroutine
+// gets scheduled.
+func TestMonitorStartBaseline(t *testing.T) {
+	f := newFakeFeed()
+	f.add(7, 0, 0) // history from before the monitor started
+	cfg := testConfig(f, nil)
+	cfg.SampleEvery = time.Hour // the loop never ticks during the test
+	m := NewMonitor(cfg)
+	m.Start()
+	t.Cleanup(m.Close)
+	f.add(100, 2, 0)
+	f.advance(10 * time.Second)
+	m.Poll()
+	for _, w := range m.Status().Windows {
+		if w.Total != 100 || w.Errors != 2 {
+			t.Fatalf("%s window counts %d requests / %d errors, want 100 / 2: the baseline was taken late",
+				w.Window, w.Total, w.Errors)
+		}
+	}
+}

@@ -26,10 +26,10 @@ func CSV(f experiments.Figure) string {
 	}
 	b.WriteString(joinCSV(cols))
 	b.WriteByte('\n')
-	for _, k := range xPositions(f) {
+	for _, k := range f.XPositions() {
 		row := []string{xLabel(k)}
 		for _, s := range f.Series {
-			if v, ok := lookup(s, k); ok {
+			if v, ok := s.At(k); ok {
 				row = append(row, strconv.FormatFloat(v, 'g', 8, 64))
 			} else {
 				row = append(row, "")
@@ -57,10 +57,10 @@ func Markdown(f experiments.Figure) string {
 		b.WriteString("---|")
 	}
 	b.WriteByte('\n')
-	for _, k := range xPositions(f) {
+	for _, k := range f.XPositions() {
 		b.WriteString("| " + xLabel(k) + " |")
 		for _, s := range f.Series {
-			if v, ok := lookup(s, k); ok {
+			if v, ok := s.At(k); ok {
 				fmt.Fprintf(&b, " %.6g |", v)
 			} else {
 				b.WriteString(" – |")
@@ -71,40 +71,11 @@ func Markdown(f experiments.Figure) string {
 	return b.String()
 }
 
-type xKey struct {
-	x     float64
-	label string
-}
-
-func xLabel(k xKey) string {
-	if k.label != "" {
-		return k.label
+func xLabel(k experiments.XPos) string {
+	if k.Label != "" {
+		return k.Label
 	}
-	return strconv.FormatFloat(k.x, 'g', 8, 64)
-}
-
-func xPositions(f experiments.Figure) []xKey {
-	var xs []xKey
-	seen := map[xKey]bool{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			k := xKey{p.X, p.Label}
-			if !seen[k] {
-				seen[k] = true
-				xs = append(xs, k)
-			}
-		}
-	}
-	return xs
-}
-
-func lookup(s experiments.Series, k xKey) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == k.x && p.Label == k.label {
-			return p.Y, true
-		}
-	}
-	return 0, false
+	return strconv.FormatFloat(k.X, 'g', 8, 64)
 }
 
 func joinCSV(fields []string) string {

@@ -2,7 +2,7 @@ package serve
 
 // Wire types and evaluators for the three model endpoints. The request
 // DTOs embed spec.File — the same JSON spec format the CLIs load from
-// disk — so a file that works with `lognic-est -spec f.json` works as
+// disk — so a file that works with `lognic f.json` works as
 // `{"spec": <contents of f.json>}` against the daemon. The DTOs are also
 // the cache identity: a decoded request re-marshals deterministically
 // (struct field order, units normalized to numbers by spec's
@@ -31,8 +31,8 @@ type EstimateRequest struct {
 	Spec spec.File `json:"spec"`
 }
 
-// PointResult is the analytical estimate's wire shape (matches the
-// `lognic-est -json` output).
+// PointResult is the analytical estimate's wire shape: the /v1/estimate
+// body, and the `lognic -json` output (which uses this type too).
 type PointResult struct {
 	IngressBW    float64            `json:"ingress_bw"`
 	Throughput   float64            `json:"throughput"`
@@ -81,7 +81,8 @@ type KnobSpec struct {
 	Hi    int    `json:"hi"`
 }
 
-// OptimizeResult is the optimizer's wire shape.
+// OptimizeResult is the optimizer's wire shape: the /v1/optimize body,
+// and the `lognic -optimize -json` output.
 type OptimizeResult struct {
 	Goal       string         `json:"goal"`
 	Knobs      map[string]int `json:"knobs"`
@@ -145,8 +146,8 @@ func cacheKey(endpoint string, dto any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// estimatePoint evaluates a model once into the wire shape.
-func estimatePoint(m core.Model) (PointResult, error) {
+// EstimatePoint evaluates a model once into the wire shape.
+func EstimatePoint(m core.Model) (PointResult, error) {
 	est, err := m.Estimate()
 	if err != nil {
 		return PointResult{}, err
@@ -195,7 +196,7 @@ func (s *Server) prepareEstimate(body []byte) (prepared, error) {
 		return prepared{}, err
 	}
 	return prepared{key: key, run: func(ctx context.Context) (any, error) {
-		return estimatePoint(m)
+		return EstimatePoint(m)
 	}}, nil
 }
 
@@ -229,22 +230,29 @@ func (s *Server) prepareOptimize(body []byte) (prepared, error) {
 		return prepared{}, err
 	}
 	return prepared{key: key, run: func(ctx context.Context) (any, error) {
-		sol, err := optimizer.SolveKnobs(m, goal, knobs, req.MaxEvals)
-		if err != nil {
-			return nil, err
-		}
-		out := OptimizeResult{
-			Goal:       goal.String(),
-			Knobs:      make(map[string]int, len(knobs)),
-			Objective:  sol.Objective,
-			Evaluated:  sol.Evaluated,
-			Exhaustive: sol.Exhaustive,
-		}
-		for i, k := range knobs {
-			out.Knobs[k.Name()] = sol.Values[i]
-		}
-		return out, nil
+		return Optimize(m, goal, knobs, req.MaxEvals)
 	}}, nil
+}
+
+// Optimize searches the knob space for the best configuration under goal
+// (at most maxEvals model evaluations; 0 selects the default) into the
+// wire shape.
+func Optimize(m core.Model, goal optimizer.Goal, knobs []optimizer.IntKnob, maxEvals int) (OptimizeResult, error) {
+	sol, err := optimizer.SolveKnobs(m, goal, knobs, maxEvals)
+	if err != nil {
+		return OptimizeResult{}, err
+	}
+	out := OptimizeResult{
+		Goal:       goal.String(),
+		Knobs:      make(map[string]int, len(knobs)),
+		Objective:  sol.Objective,
+		Evaluated:  sol.Evaluated,
+		Exhaustive: sol.Exhaustive,
+	}
+	for i, k := range knobs {
+		out.Knobs[k.Name()] = sol.Values[i]
+	}
+	return out, nil
 }
 
 // prepareSimulate decodes and validates a simulate request.

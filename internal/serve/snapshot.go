@@ -10,12 +10,12 @@ package serve
 // guarantee the L1 gives, extended across the fleet.
 //
 // Stream layout: frame 0 is the magic/version record; every further frame
-// is one entry, payload = key bytes | 0x00 | body bytes, ordered least
-// recently used first so replaying Puts reconstructs the donor's
-// recency order. A torn tail (snapshot taken mid-crash, truncated
-// download) loses only the most recently used suffix — the frame scanner
-// stops at the first bad frame — and never poisons an entry: bodies are
-// CRC-covered end to end.
+// is one entry, payload = tenant | 0x00 | key | 0x00 | body, each
+// partition's entries ordered least recently used first so replaying
+// Puts reconstructs the donor's recency order. A torn tail (snapshot
+// taken mid-crash, truncated download) loses only the most recently used
+// suffix — the frame scanner stops at the first bad frame — and never
+// poisons an entry: bodies are CRC-covered end to end.
 
 import (
 	"bytes"
@@ -29,17 +29,13 @@ import (
 	"lognic/internal/jobs"
 )
 
-// snapshotMagic is frame 0 of an untenanted server's snapshot stream;
-// readers reject streams that don't open with a known magic (wrong file,
-// wrong endpoint, future incompatible version).
-const snapshotMagic = "lognic-cache-snapshot v1"
-
-// snapshotMagicV2 opens a partitioned snapshot: every entry frame is
-// prefixed with its tenant name (the spillover pool dumps under "*"), so
-// a warm-start restores each entry into the partition it came from. A
-// tenanted server always emits v2; an untenanted one always emits v1,
-// keeping its streams byte-compatible with older readers.
-const snapshotMagicV2 = "lognic-cache-snapshot v2"
+// snapshotMagic is frame 0 of every snapshot stream; readers reject
+// streams that don't open with it (wrong file, wrong endpoint, another
+// format version). Every entry frame is prefixed with its partition's
+// tenant name — "default" for an untenanted server's one partition, "*"
+// for the spillover pool — so a warm-start restores each entry into the
+// partition it came from.
+const snapshotMagic = "lognic-cache-snapshot v2"
 
 // snapSection is one partition's entries, least recently used first.
 type snapSection struct {
@@ -66,29 +62,21 @@ func (s *Server) handleCacheSnapshot(w http.ResponseWriter, r *http.Request) {
 	// On a mid-stream error the headers are gone; the client's replay
 	// stops at the torn frame and keeps the prefix — exactly the
 	// journal's crash contract.
-	_ = writeCacheSnapshot(w, s.tenanted(), sections)
+	_ = writeCacheSnapshot(w, sections)
 }
 
 // writeCacheSnapshot frames the magic record and one record per entry:
-// key | 0x00 | body in v1, tenant | 0x00 | key | 0x00 | body in v2 (the
-// tenanted format). Tenant names and keys are NUL-free by construction
-// (validTenantName; hex hashes), so the separators are unambiguous even
-// though bodies may contain NULs.
-func writeCacheSnapshot(w io.Writer, tenanted bool, sections []snapSection) error {
-	magic := snapshotMagic
-	if tenanted {
-		magic = snapshotMagicV2
-	}
-	if err := jobs.WriteFrame(w, []byte(magic)); err != nil {
+// tenant | 0x00 | key | 0x00 | body. Tenant names and keys are NUL-free
+// by construction (validTenantName; hex hashes), so the separators are
+// unambiguous even though bodies may contain NULs.
+func writeCacheSnapshot(w io.Writer, sections []snapSection) error {
+	if err := jobs.WriteFrame(w, []byte(snapshotMagic)); err != nil {
 		return err
 	}
 	var payload []byte
 	for _, sec := range sections {
 		for _, e := range sec.entries {
-			payload = payload[:0]
-			if tenanted {
-				payload = append(append(payload, sec.tenant...), 0)
-			}
+			payload = append(append(payload[:0], sec.tenant...), 0)
 			payload = append(append(append(payload, e.key...), 0), e.body...)
 			if err := jobs.WriteFrame(w, payload); err != nil {
 				return err
@@ -101,13 +89,12 @@ func writeCacheSnapshot(w io.Writer, tenanted bool, sections []snapSection) erro
 // errBadMagic rejects a stream that is not a cache snapshot.
 var errBadMagic = fmt.Errorf("serve: not a cache snapshot stream (bad magic)")
 
-// readCacheSnapshot decodes a snapshot stream (either version), handing
-// each entry to put as soon as its frame is read — one record in memory
-// at a time. v1 entries carry tenant "". It stops silently at the first
-// corrupt frame (the replay contract: everything before a tear is
-// trustworthy, the tear itself was unacknowledged), but a CRC-valid frame
-// that is not an entry stops it with an error. Either way the entries
-// already handed to put stay put.
+// readCacheSnapshot decodes a snapshot stream, handing each entry to put
+// as soon as its frame is read — one record in memory at a time. It stops
+// silently at the first corrupt frame (the replay contract: everything
+// before a tear is trustworthy, the tear itself was unacknowledged), but
+// a CRC-valid frame that is not an entry stops it with an error. Either
+// way the entries already handed to put stay put.
 func readCacheSnapshot(r io.Reader, put func(tenant, key string, body []byte)) error {
 	sc := jobs.NewFrameScanner(r)
 	if !sc.Scan() {
@@ -116,23 +103,14 @@ func readCacheSnapshot(r io.Reader, put func(tenant, key string, body []byte)) e
 		}
 		return errBadMagic
 	}
-	var v2 bool
-	switch string(sc.Record()) {
-	case snapshotMagic:
-	case snapshotMagicV2:
-		v2 = true
-	default:
+	if string(sc.Record()) != snapshotMagic {
 		return errBadMagic
 	}
 	nul := []byte{0}
 	for sc.Scan() {
-		rec, tenant := sc.Record(), ""
-		if v2 {
-			t, rest, ok := bytes.Cut(rec, nul)
-			if !ok {
-				return fmt.Errorf("serve: malformed snapshot entry (no tenant separator)")
-			}
-			tenant, rec = string(t), rest
+		tenant, rec, ok := bytes.Cut(sc.Record(), nul)
+		if !ok {
+			return fmt.Errorf("serve: malformed snapshot entry (no tenant separator)")
 		}
 		key, body, ok := bytes.Cut(rec, nul)
 		if !ok || len(key) == 0 {
@@ -140,7 +118,7 @@ func readCacheSnapshot(r io.Reader, put func(tenant, key string, body []byte)) e
 		}
 		// The scanner hands out a fresh buffer per frame, so the body can
 		// be kept without a copy.
-		put(tenant, string(key), body)
+		put(string(tenant), string(key), body)
 	}
 	return sc.Err()
 }
@@ -155,12 +133,12 @@ func readCacheSnapshot(r io.Reader, put func(tenant, key string, body []byte)) e
 // also alongside an error, since a malformed entry or a read failure
 // stops the warm-start but keeps what came before it.
 //
-// Restores are partition-faithful. On a tenanted replica a v2 entry lands
+// Restores are partition-faithful. On a tenanted replica an entry lands
 // in the partition named by its tenant prefix (the spill section in the
-// spillover pool), a v1 entry in the default partition, and entries for
-// tenants this replica doesn't configure are skipped — guessing a
-// partition would let one tenant's bytes evict another's. An untenanted
-// replica flattens every section into its one partition.
+// spillover pool), and entries for tenants this replica doesn't configure
+// are skipped — guessing a partition would let one tenant's bytes evict
+// another's. An untenanted replica flattens every section into its one
+// partition.
 func (s *Server) WarmCache(src string) (entries int, admittedBytes int64, err error) {
 	if s.cfg.CacheEntries <= 0 {
 		return 0, 0, fmt.Errorf("serve: result cache disabled")
@@ -184,7 +162,7 @@ func (s *Server) WarmCache(src string) (entries int, admittedBytes int64, err er
 // skip — for a section this replica has no partition for).
 func (s *Server) warmTarget(tenant string) *lruCache {
 	switch {
-	case !s.tenanted() || tenant == "":
+	case !s.tenanted():
 		return s.tenants[defaultTenant].cache
 	case tenant == spillTenant:
 		return s.spill

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -133,14 +134,41 @@ func TestWarmStartBudgetAndBadMagic(t *testing.T) {
 		t.Fatalf("over-budget entries should be skipped: n=%d err=%v", n, err)
 	}
 
-	badPath := filepath.Join(dir, "bad.snap")
-	if err := os.WriteFile(badPath, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
+	// Anything not opening with the one snapshot magic — noise, or a
+	// stream in the retired v1 format — is rejected before any entry is
+	// admitted, so the replica starts cold.
+	for name, data := range map[string][]byte{"bad.snap": []byte("not a snapshot"), "v1.snap": legacyV1Snapshot(t)} {
+		badPath := filepath.Join(dir, name)
+		if err := os.WriteFile(badPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewServer(Config{})
+		t.Cleanup(fresh.Close)
+		if n, _, err := fresh.WarmCache(badPath); !errors.Is(err, errBadMagic) || n != 0 {
+			t.Fatalf("%s: warmed %d entries, err %v; want 0 and errBadMagic", name, n, err)
+		}
 	}
-	fresh := NewServer(Config{})
-	t.Cleanup(fresh.Close)
-	if _, _, err := fresh.WarmCache(badPath); err == nil {
-		t.Fatal("bad magic must be rejected")
+}
+
+// An untenanted server snapshots in the one format: the magic, then its
+// single partition's entries under the default tenant.
+func TestUntenantedSnapshotDefaultSections(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post(t, ts.Client(), ts.URL+"/v1/estimate", estimateBody(sampleSpec))
+	post(t, ts.Client(), ts.URL+"/v1/simulate", `{"spec": `+sampleSpec+`, "duration": 0.002, "seed": 3}`)
+	raw := snapshotOf(t, ts.URL)
+	records, _, err := jobs.ReplayRecords(bytes.NewReader(raw))
+	if err != nil || len(records) == 0 || string(records[0]) != snapshotMagic {
+		t.Fatalf("untenanted snapshot does not open with %q (err %v)", snapshotMagic, err)
+	}
+	got, err := decodeSnapshot(raw)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("decoded %d entries, %v; want 2", len(got), err)
+	}
+	for _, e := range got {
+		if e.tenant != defaultTenant {
+			t.Fatalf("untenanted entry under tenant %q, want %q", e.tenant, defaultTenant)
+		}
 	}
 }
 
@@ -162,7 +190,7 @@ func TestSnapshotCacheDisabled(t *testing.T) {
 // as a torn tail.
 func TestWarmStartMalformedEntry(t *testing.T) {
 	var buf bytes.Buffer
-	for _, rec := range []string{snapshotMagic, "k1\x00{\"a\":1}\n", "no separator", "k2\x00{}\n"} {
+	for _, rec := range []string{snapshotMagic, "default\x00k1\x00{\"a\":1}\n", "default\x00no separator", "default\x00k2\x00{}\n"} {
 		if err := jobs.WriteFrame(&buf, []byte(rec)); err != nil {
 			t.Fatal(err)
 		}
@@ -198,37 +226,47 @@ func decodeSnapshot(data []byte) ([]snapTriple, error) {
 	return out, err
 }
 
-func encodeSnapshot(t testing.TB, tenanted bool, entries []snapTriple) []byte {
+func encodeSnapshot(t testing.TB, entries []snapTriple) []byte {
 	var buf bytes.Buffer
 	sections := make([]snapSection, len(entries))
 	for i, e := range entries {
 		sections[i] = snapSection{tenant: e.tenant, entries: []cacheEntry{{key: e.key, body: e.body}}}
 	}
-	if err := writeCacheSnapshot(&buf, tenanted, sections); err != nil {
+	if err := writeCacheSnapshot(&buf, sections); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzCacheSnapshot feeds arbitrary bytes — writer output in both
-// versions, torn and bit-flipped copies, malformed entries, noise —
-// through the snapshot decoder. It must never panic; what it admits must
-// be exactly the leading intact frames of the stream, in order, and a
-// clean return means it admitted all of them; and the writer must
-// round-trip whatever was decoded to identical (tenant, key, body)
-// triples.
+// legacyV1Snapshot hand-builds a stream in the retired untenanted format:
+// its own magic, then key | 0x00 | body entries with no tenant prefix.
+func legacyV1Snapshot(t testing.TB) []byte {
+	var buf bytes.Buffer
+	for _, rec := range []string{"lognic-cache-snapshot v1", "9f2c\x00{\"throughput\":1e9}\n", "a01b\x00body with a \x00 inside"} {
+		if err := jobs.WriteFrame(&buf, []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzCacheSnapshot feeds arbitrary bytes — writer output, torn and
+// bit-flipped copies, malformed entries, a retired v1 stream, noise —
+// through the snapshot decoder. It must never panic; a stream that does
+// not open with the snapshot magic must be rejected with nothing
+// admitted; otherwise what it admits must be exactly the leading intact
+// frames of the stream, in order, and a clean return means it admitted
+// all of them; and the writer must round-trip whatever was decoded to
+// identical (tenant, key, body) triples.
 func FuzzCacheSnapshot(f *testing.F) {
-	v1 := encodeSnapshot(f, false, []snapTriple{
-		{"", "9f2c", []byte(`{"throughput":1e9}` + "\n")},
-		{"", "a01b", []byte("body with a \x00 inside")},
-	})
-	v2 := encodeSnapshot(f, true, []snapTriple{
+	v1 := legacyV1Snapshot(f)
+	v2 := encodeSnapshot(f, []snapTriple{
 		{"alpha", "9f2c", []byte(`{"x":1}`)},
 		{spillTenant, "77aa", []byte("spilled")},
 		{defaultTenant, "0c0c", nil},
 	})
 	var malformed bytes.Buffer
-	for _, rec := range []string{snapshotMagicV2, "alpha\x00k\x00b", "no separators"} {
+	for _, rec := range []string{snapshotMagic, "alpha\x00k\x00b", "no separators"} {
 		_ = jobs.WriteFrame(&malformed, []byte(rec))
 	}
 	flipped := append([]byte(nil), v2...)
@@ -243,16 +281,17 @@ func FuzzCacheSnapshot(f *testing.F) {
 		if rerr != nil {
 			t.Fatalf("in-memory replay failed: %v", rerr)
 		}
-		if len(got) > 0 && len(got) > len(records)-1 {
+		if len(records) == 0 || string(records[0]) != snapshotMagic {
+			if err == nil || len(got) > 0 {
+				t.Fatalf("stream without the snapshot magic admitted %d entries, err %v", len(got), err)
+			}
+			return
+		}
+		if len(got) > len(records)-1 {
 			t.Fatalf("decoded %d entries from %d intact frames", len(got), len(records))
 		}
-		v2 := len(records) > 0 && string(records[0]) == snapshotMagicV2
 		for i, e := range got {
-			var want []byte
-			if v2 {
-				want = append([]byte(e.tenant), 0)
-			}
-			want = append(append(append(want, e.key...), 0), e.body...)
+			want := append(append(append(append([]byte(e.tenant), 0), e.key...), 0), e.body...)
 			if !bytes.Equal(records[i+1], want) {
 				t.Fatalf("entry %d %+v does not re-frame to intact frame %d", i, e, i+1)
 			}
@@ -260,7 +299,7 @@ func FuzzCacheSnapshot(f *testing.F) {
 		if err == nil && len(got) != len(records)-1 {
 			t.Fatalf("clean decode admitted %d of %d entry frames", len(got), len(records)-1)
 		}
-		again, err := decodeSnapshot(encodeSnapshot(t, v2, got))
+		again, err := decodeSnapshot(encodeSnapshot(t, got))
 		if err != nil || len(again) != len(got) {
 			t.Fatalf("round trip: %d entries, %v; want %d", len(again), err, len(got))
 		}

@@ -29,7 +29,7 @@ package serve
 // There is one request path. With TenantWeights unset the table holds a
 // single default tenant that owns all of Workers, QueueDepth and the
 // cache, and the only difference is what tenanted() decides: no tenant
-// labels, span args or log attributes, no /v1/slo rows, and v1 snapshots.
+// labels, span args or log attributes, and no /v1/slo rows.
 
 import (
 	"fmt"
@@ -316,8 +316,9 @@ func (s *Server) initTenants() {
 // tenanted reports whether TenantWeights configured tenancy. It is the
 // only difference between a tenanted server and an untenanted one, whose
 // table holds just the default tenant: it decides whether tenant names
-// appear as metric labels, span args and log attributes (tenant.label),
-// as /v1/slo rows, and as snapshot entry prefixes.
+// appear as metric labels, span args and log attributes (tenant.label)
+// and as /v1/slo rows, and whether a warm-start keeps snapshot sections
+// apart or flattens them into the one partition.
 func (s *Server) tenanted() bool { return s.cfg.TenantWeights != nil }
 
 // claimedTenant is the tenant name the client asserted ("" when absent).

@@ -298,10 +298,10 @@ func TestTenantFairnessSkewed(t *testing.T) {
 	}
 }
 
-// Snapshots round-trip partition-faithfully: a v2 snapshot restores each
-// entry into the partition it came from, a v1 snapshot lands in the
-// default partition, an untenanted replica flattens everything, and
-// entries for unconfigured tenants are skipped.
+// Snapshots round-trip partition-faithfully: a tenanted snapshot restores
+// each entry into the partition it came from, an untenanted server's
+// snapshot lands in the default partition, an untenanted replica
+// flattens everything, and entries for unconfigured tenants are skipped.
 func TestTenantSnapshotRoundTrip(t *testing.T) {
 	tenanted := Config{
 		CacheEntries: 64, CacheBytes: 1 << 20,
@@ -420,31 +420,29 @@ func TestTenantSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("skip warm = %d, %v; want 2 (alpha + default)", n, err)
 	}
 
-	// v1 snapshots land in the default partition.
+	// An untenanted server's snapshot lands in the default partition.
 	_, tsD := newTestServer(t, Config{CacheEntries: 64})
 	post(t, tsD.Client(), tsD.URL+"/v1/estimate", bodies[""])
-	v1Resp, err := tsD.Client().Get(tsD.URL + "/v1/cache/snapshot")
+	plainResp, err := tsD.Client().Get(tsD.URL + "/v1/cache/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, _ := io.ReadAll(v1Resp.Body)
-	v1Resp.Body.Close()
-	if !bytes.Contains(snap, []byte(snapshotMagicV2)) {
-		t.Fatal("tenanted server must emit a v2 snapshot")
+	plain, _ := io.ReadAll(plainResp.Body)
+	plainResp.Body.Close()
+	// Both streams open with the magic frame (past its 8-byte header).
+	if !bytes.HasPrefix(snap[8:], []byte(snapshotMagic)) || !bytes.HasPrefix(plain[8:], []byte(snapshotMagic)) {
+		t.Fatal("tenanted and untenanted servers must emit the one snapshot format")
 	}
-	if !bytes.Contains(v1, []byte(snapshotMagic)) || bytes.Contains(v1, []byte(snapshotMagicV2)) {
-		t.Fatal("untenanted server must emit a v1 snapshot")
-	}
-	v1Path := filepath.Join(t.TempDir(), "snap.v1")
-	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
+	plainPath := filepath.Join(t.TempDir(), "snap.untenanted")
+	if err := os.WriteFile(plainPath, plain, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := newTestServer(t, tenanted)
-	if n, _, err := e.WarmCache(v1Path); err != nil || n != 1 {
-		t.Fatalf("v1 warm = %d, %v; want 1", n, err)
+	if n, _, err := e.WarmCache(plainPath); err != nil || n != 1 {
+		t.Fatalf("untenanted warm = %d, %v; want 1", n, err)
 	}
 	if e.tenants[defaultTenant].cache.Len() != 1 || e.tenants["alpha"].cache.Len() != 0 {
-		t.Fatal("v1 entries must land in the default partition only")
+		t.Fatal("untenanted entries must land in the default partition only")
 	}
 }
 

@@ -20,8 +20,10 @@ func (f File) Canonical() ([]byte, error) {
 	return json.Marshal(f)
 }
 
-// Hash returns the hex SHA-256 of the canonical form — the cache key used
-// by lognic-serve's result cache.
+// Hash returns the hex SHA-256 of the canonical form: a content address
+// for the spec alone, which lognic-storm routes requests by. It is not
+// lognic-serve's cache key, which hashes the endpoint name, a NUL and the
+// canonical form of the whole request DTO.
 func (f File) Hash() (string, error) {
 	b, err := f.Canonical()
 	if err != nil {

@@ -89,7 +89,8 @@ type MixComponentSpec struct {
 }
 
 // Bandwidth unmarshals from either a JSON number (bytes/second) or a
-// string such as "25Gbps" or "400MB/s".
+// string such as "25Gbps" or "400MB/s", and marshals as a plain number
+// of bytes/second.
 type Bandwidth float64
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -111,13 +112,8 @@ func (b *Bandwidth) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MarshalJSON implements json.Marshaler (always bytes/second).
-func (b Bandwidth) MarshalJSON() ([]byte, error) {
-	return json.Marshal(float64(b))
-}
-
 // Size unmarshals from either a JSON number (bytes) or a string such as
-// "4KB".
+// "4KB", and marshals as a plain number of bytes.
 type Size float64
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -137,11 +133,6 @@ func (s *Size) UnmarshalJSON(data []byte) error {
 	}
 	*s = Size(v.Bytes())
 	return nil
-}
-
-// MarshalJSON implements json.Marshaler (always bytes).
-func (s Size) MarshalJSON() ([]byte, error) {
-	return json.Marshal(float64(s))
 }
 
 // parseKind maps the JSON kind string.

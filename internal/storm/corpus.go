@@ -5,8 +5,9 @@ package storm
 // corpus size n against a replica cache of c entries converges to a
 // steady-state hit ratio of 1 when n ≤ c and degrades predictably past
 // it. Every item is guaranteed distinct (a unique per-index nudge on the
-// offered load), and carries the canonical spec hash that hash-affinity
-// routing keys on — the same hash lognic-serve caches and coalesces by.
+// offered load), and carries the canonical spec hash (spec.File.Hash)
+// that hash-affinity routing keys on, so every request for one spec lands
+// on one replica.
 
 import (
 	"encoding/json"
