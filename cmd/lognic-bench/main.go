@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"sort"
@@ -80,7 +79,7 @@ func main() {
 	summaryOut := flag.String("run-summary", "", "write the final JSON run summary to this file instead of stderr")
 	logOpts := olog.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	lg = mustLogger(logOpts)
+	lg = cli.MustLogger("lognic-bench", logOpts)
 
 	// The registry is always on: it feeds the run summary's sweep-point
 	// count, and -metrics/-pprof expose it. Attaching it never changes
@@ -116,13 +115,13 @@ func main() {
 		}
 		sum.SweepPoints = sumGauge(reg, "lognic_sweep_points_done")
 		if *metricsOut != "" {
-			if err := writeFile(*metricsOut, reg.WritePrometheus); err != nil {
+			if err := cli.WriteFile(*metricsOut, reg.WritePrometheus); err != nil {
 				lg.Error("writing metrics failed", olog.KeyComponent, "bench", "error", err.Error())
 				failed = true
 			}
 		}
 		if *traceOut != "" {
-			if err := writeFile(*traceOut, func(w io.Writer) error {
+			if err := cli.WriteFile(*traceOut, func(w io.Writer) error {
 				return tracer.WriteChromeTrace(w, "lognic-bench")
 			}); err != nil {
 				lg.Error("writing trace failed", olog.KeyComponent, "bench", "error", err.Error())
@@ -212,19 +211,6 @@ func sumGauge(reg *obs.Registry, name string) float64 {
 	return total
 }
 
-// writeFile renders into path, creating or truncating it.
-func writeFile(path string, render func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // emitSummary writes the JSON run summary to path, or stderr when path is
 // empty. Summary emission failing never masks the run's own exit status,
 // so errors here are only reported.
@@ -285,15 +271,4 @@ func printIntMap(m map[string]int) {
 		fmt.Printf("#   %-28s %d\n", k, m[k])
 	}
 	fmt.Println()
-}
-
-// mustLogger builds the stderr logger from -log-level/-log-format; bad
-// values are a usage error.
-func mustLogger(opts *olog.Options) *slog.Logger {
-	l, err := opts.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lognic-bench:", err)
-		os.Exit(2)
-	}
-	return l
 }

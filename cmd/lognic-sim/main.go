@@ -19,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
 	"lognic/internal/cli"
@@ -40,7 +39,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /metrics and /runtime on this address (e.g. localhost:6060)")
 	logOpts := olog.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	lg = mustLogger(logOpts)
+	lg = cli.MustLogger("lognic-sim", logOpts)
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: lognic-sim [-duration s] [-seed n] [-det] [-json] [-metrics file] [-trace file] [-pprof addr] model.json")
 		os.Exit(2)
@@ -77,15 +76,4 @@ func main() {
 
 func fatal(err error) {
 	olog.Fatal(lg, "fatal error", olog.KeyComponent, "sim", "error", err.Error())
-}
-
-// mustLogger builds the stderr logger from -log-level/-log-format; bad
-// values are a usage error.
-func mustLogger(opts *olog.Options) *slog.Logger {
-	l, err := opts.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lognic-sim:", err)
-		os.Exit(2)
-	}
-	return l
 }

@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -174,27 +175,15 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = storm.WriteMergedTrace(f, tracer, cfg.Targets, cfg.Client)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := cli.WriteFile(*traceOut, func(w io.Writer) error {
+			return storm.WriteMergedTrace(w, tracer, cfg.Targets, cfg.Client)
+		}); err != nil {
 			return olog.Fail(lg, "writing merged trace failed", "error", err.Error())
 		}
 		lg.Info("merged trace written", "path", *traceOut)
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			err = reg.WritePrometheus(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := cli.WriteFile(*metricsOut, reg.WritePrometheus); err != nil {
 			return olog.Fail(lg, "writing metrics failed", "error", err.Error())
 		}
 	}

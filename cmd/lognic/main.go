@@ -40,7 +40,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
 	"lognic/internal/cli"
@@ -68,7 +67,7 @@ func main() {
 	flag.Var(&knobs, "knob", "optimizer knob vertex.param=lo..hi (repeatable; param: parallelism|queue)")
 	logOpts := olog.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	lg = mustLogger(logOpts)
+	lg = cli.MustLogger("lognic", logOpts)
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: lognic [-json] [-sweep lo:hi:steps] model.json")
 		os.Exit(2)
@@ -106,15 +105,4 @@ func main() {
 
 func fatal(err error) {
 	olog.Fatal(lg, "fatal error", olog.KeyComponent, "lognic", "error", err.Error())
-}
-
-// mustLogger builds the stderr logger from -log-level/-log-format; bad
-// values are a usage error.
-func mustLogger(opts *olog.Options) *slog.Logger {
-	l, err := opts.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lognic:", err)
-		os.Exit(2)
-	}
-	return l
 }

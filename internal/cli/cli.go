@@ -18,7 +18,6 @@ import (
 	"lognic/internal/serve"
 	"lognic/internal/sim"
 	"lognic/internal/spec"
-	"lognic/internal/traffic"
 	"lognic/internal/unit"
 )
 
@@ -135,8 +134,6 @@ type SimOptions struct {
 // RunSim simulates the model's graph under its traffic profile and renders
 // measured results.
 func RunSim(w io.Writer, m core.Model, opts SimOptions) error {
-	prof := traffic.Fixed(m.Graph.Name(),
-		unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity))
 	reg := opts.Registry
 	if reg == nil && opts.MetricsOut != "" {
 		reg = obs.NewRegistry()
@@ -145,26 +142,23 @@ func RunSim(w io.Writer, m core.Model, opts SimOptions) error {
 	if opts.TraceOut != "" {
 		tracer = obs.NewTracer(0)
 	}
-	res, err := sim.Run(sim.Config{
-		Graph:                m.Graph,
-		Hardware:             m.Hardware,
-		Profile:              prof,
-		Seed:                 opts.Seed,
-		Duration:             opts.Duration,
-		DeterministicService: opts.Deterministic,
-		Metrics:              reg,
-		Spans:                tracer,
-	})
+	cfg := sim.ForModel(m)
+	cfg.Seed = opts.Seed
+	cfg.Duration = opts.Duration
+	cfg.DeterministicService = opts.Deterministic
+	cfg.Metrics = reg
+	cfg.Spans = tracer
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
 	if opts.MetricsOut != "" {
-		if err := writeFileWith(opts.MetricsOut, reg.WritePrometheus); err != nil {
+		if err := WriteFile(opts.MetricsOut, reg.WritePrometheus); err != nil {
 			return err
 		}
 	}
 	if opts.TraceOut != "" {
-		if err := writeFileWith(opts.TraceOut, func(f io.Writer) error {
+		if err := WriteFile(opts.TraceOut, func(f io.Writer) error {
 			return tracer.WriteChromeTrace(f, m.Graph.Name())
 		}); err != nil {
 			return err

@@ -14,7 +14,6 @@ import (
 	"lognic/internal/serve"
 	"lognic/internal/sim"
 	"lognic/internal/spec"
-	"lognic/internal/traffic"
 	"lognic/internal/unit"
 )
 
@@ -131,15 +130,11 @@ func faultsSide(m core.Model) (FaultsSide, error) {
 
 // simSide measures one operating point, with an optional fault schedule.
 func simSide(m core.Model, faults sim.FaultSchedule, opts FaultsOptions) (sim.Result, error) {
-	return sim.Run(sim.Config{
-		Graph:    m.Graph,
-		Hardware: m.Hardware,
-		Profile: traffic.Fixed(m.Graph.Name(),
-			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
-		Seed:     opts.Seed,
-		Duration: opts.Duration,
-		Faults:   faults,
-	})
+	cfg := sim.ForModel(m)
+	cfg.Seed = opts.Seed
+	cfg.Duration = opts.Duration
+	cfg.Faults = faults
+	return sim.Run(cfg)
 }
 
 // RunFaults evaluates a model healthy and under a fault scenario, and

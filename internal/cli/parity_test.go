@@ -52,7 +52,7 @@ func daemonBody(t *testing.T, h http.Handler, path string, req any) []byte {
 // `lognic -json` and the daemon share one result type, so a point
 // estimate, every sweep point and an exhaustive optimize search print
 // exactly the bytes /v1/estimate and /v1/optimize answer for the same
-// spec.
+// spec; `lognic-sim -json` likewise prints the /v1/simulate body.
 func TestJSONMatchesDaemon(t *testing.T) {
 	f, err := spec.Parse([]byte(paritySpec))
 	if err != nil {
@@ -122,5 +122,15 @@ func TestJSONMatchesDaemon(t *testing.T) {
 		if !strings.Contains(opt.String(), `"exhaustive":true`) {
 			t.Fatalf("%s: search was not exhaustive: %s", goal, opt.Bytes())
 		}
+	}
+
+	// `lognic-sim -json` prints the /v1/simulate body for the same spec,
+	// duration and seed.
+	var simOut bytes.Buffer
+	if err := RunSim(&simOut, m, SimOptions{Duration: 0.002, Seed: 1, JSON: true}); err != nil {
+		t.Fatal(err)
+	}
+	if want := daemonBody(t, h, "/v1/simulate", serve.SimulateRequest{Spec: f, Duration: 0.002, Seed: 1}); !bytes.Equal(simOut.Bytes(), want) {
+		t.Fatalf("RunSim JSON differs from /v1/simulate:\ncli    %s\ndaemon %s", simOut.Bytes(), want)
 	}
 }

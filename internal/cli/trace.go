@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -18,9 +19,9 @@ import (
 
 	"lognic/internal/core"
 	"lognic/internal/obs"
+	"lognic/internal/obs/olog"
 	"lognic/internal/report"
 	"lognic/internal/sim"
-	"lognic/internal/traffic"
 	"lognic/internal/unit"
 )
 
@@ -88,27 +89,23 @@ type TraceOptions struct {
 func RunTrace(w io.Writer, m core.Model, opts TraceOptions) error {
 	tracer := obs.NewTracer(opts.SpanCapacity)
 	reg := obs.NewRegistry()
-	res, err := sim.Run(sim.Config{
-		Graph:    m.Graph,
-		Hardware: m.Hardware,
-		Profile: traffic.Fixed(m.Graph.Name(),
-			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
-		Seed:     opts.Seed,
-		Duration: opts.Duration,
-		Warmup:   opts.Warmup,
-		Spans:    tracer,
-		Metrics:  reg,
-	})
+	cfg := sim.ForModel(m)
+	cfg.Seed = opts.Seed
+	cfg.Duration = opts.Duration
+	cfg.Warmup = opts.Warmup
+	cfg.Spans = tracer
+	cfg.Metrics = reg
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
-	if err := writeFileWith(opts.Out, func(f io.Writer) error {
+	if err := WriteFile(opts.Out, func(f io.Writer) error {
 		return tracer.WriteChromeTrace(f, m.Graph.Name())
 	}); err != nil {
 		return err
 	}
 	if opts.MetricsOut != "" {
-		if err := writeFileWith(opts.MetricsOut, reg.WritePrometheus); err != nil {
+		if err := WriteFile(opts.MetricsOut, reg.WritePrometheus); err != nil {
 			return err
 		}
 	}
@@ -126,9 +123,9 @@ func RunTrace(w io.Writer, m core.Model, opts TraceOptions) error {
 	return err
 }
 
-// writeFileWith creates path and streams render into it, reporting either
+// WriteFile creates path and streams render into it, reporting either
 // failure.
-func writeFileWith(path string, render func(io.Writer) error) error {
+func WriteFile(path string, render func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -138,6 +135,17 @@ func writeFileWith(path string, render func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// MustLogger builds a command's stderr logger from -log-level and
+// -log-format; a bad value is a usage error (exit 2).
+func MustLogger(prog string, opts *olog.Options) *slog.Logger {
+	l, err := opts.Logger(os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, prog+":", err)
+		os.Exit(2)
+	}
+	return l
 }
 
 // StartDebugServer serves observability endpoints on addr until the

@@ -32,23 +32,8 @@ func sweep[T any](ctx context.Context, workers, n int, task func(ctx context.Con
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(max(workers, 1), n)
 	out := make([]T, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := task(ctx, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)

@@ -45,34 +45,40 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 }
 
 func TestSweepOrderAndBounds(t *testing.T) {
-	var active, peak atomic.Int64
-	out, err := sweep(context.Background(), 3, 20, func(_ context.Context, i int) (int, error) {
-		cur := active.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
+	// Zero workers still runs every task, on one goroutine.
+	for _, workers := range []int{0, 1, 3} {
+		var active, peak atomic.Int64
+		out, err := sweep(context.Background(), workers, 20, func(_ context.Context, i int) (int, error) {
+			cur := active.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			defer active.Add(-1)
+			return i * i, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 20 {
+			t.Fatalf("workers=%d: %d results for 20 tasks", workers, len(out))
+		}
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d: results not reassembled in task order", workers, i, v)
 			}
 		}
-		defer active.Add(-1)
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d: results not reassembled in task order", i, v)
+		if bound := int64(max(workers, 1)); peak.Load() > bound {
+			t.Fatalf("workers=%d: peak concurrency %d exceeds worker bound %d", workers, peak.Load(), bound)
 		}
-	}
-	if p := peak.Load(); p > 3 {
-		t.Fatalf("peak concurrency %d exceeds worker bound 3", p)
 	}
 }
 
 func TestSweepErrorWinsOverCancellation(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		_, err := sweep(context.Background(), workers, 16, func(ctx context.Context, i int) (int, error) {
 			if i == 5 {
 				return 0, fmt.Errorf("task failed: %w", boom)
@@ -93,7 +99,7 @@ func TestSweepErrorWinsOverCancellation(t *testing.T) {
 func TestSweepParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		_, err := sweep(ctx, workers, 4, func(context.Context, int) (int, error) {
 			return 0, nil
 		})

@@ -21,8 +21,6 @@ import (
 	"lognic/internal/optimizer"
 	"lognic/internal/sim"
 	"lognic/internal/spec"
-	"lognic/internal/traffic"
-	"lognic/internal/unit"
 )
 
 // EstimateRequest is the body of POST /v1/estimate.
@@ -293,22 +291,17 @@ func (s *Server) decodeSimulate(body []byte) (SimulateRequest, sim.Config, error
 	if req.Duration <= 0 {
 		return req, sim.Config{}, badRequest{fmt.Errorf("serve: simulate needs duration > 0 seconds")}
 	}
-	maxEvents := req.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = s.cfg.MaxSimEvents
+	cfg := sim.ForModel(m)
+	cfg.Seed = req.Seed
+	cfg.Duration = req.Duration
+	cfg.Warmup = req.Warmup
+	cfg.DeterministicService = req.Deterministic
+	cfg.MaxEvents = req.MaxEvents
+	if cfg.MaxEvents == 0 {
+		cfg.MaxEvents = s.cfg.MaxSimEvents
 	}
-	return req, sim.Config{
-		Graph:    m.Graph,
-		Hardware: m.Hardware,
-		Profile: traffic.Fixed(m.Graph.Name(),
-			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
-		Seed:                 req.Seed,
-		Duration:             req.Duration,
-		Warmup:               req.Warmup,
-		DeterministicService: req.Deterministic,
-		MaxEvents:            maxEvents,
-		Shards:               req.Shards,
-	}, nil
+	cfg.Shards = req.Shards
+	return req, cfg, nil
 }
 
 // traceSim joins a simulation to the trace on ctx: its vertex spans

@@ -25,6 +25,7 @@ import (
 	"lognic/internal/core"
 	"lognic/internal/obs"
 	"lognic/internal/traffic"
+	"lognic/internal/unit"
 )
 
 // Typed run-harness errors. RunContext returns these (wrapped with run
@@ -1081,4 +1082,17 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return s.Run()
+}
+
+// ForModel is the simulation of an analytical model's operating point:
+// its graph and hardware under fixed-size traffic named after the graph,
+// at the model's ingress rate and granularity. Callers set the seed,
+// duration and observers.
+func ForModel(m core.Model) Config {
+	return Config{
+		Graph:    m.Graph,
+		Hardware: m.Hardware,
+		Profile: traffic.Fixed(m.Graph.Name(),
+			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
+	}
 }

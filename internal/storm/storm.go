@@ -30,7 +30,8 @@ type Config struct {
 	// Targets are replica base URLs (e.g. http://127.0.0.1:8080). At least
 	// one is required.
 	Targets []string
-	// Workers is the number of concurrent request loops (default 8).
+	// Workers is the number of concurrent request loops (default 8). A
+	// step runs at least one per tenant, so light tenants can add some.
 	Workers int
 	// Duration is the step's wall time (default 10s).
 	Duration time.Duration
@@ -183,62 +184,25 @@ type TenantReport struct {
 	SLO                   *slo.Status                `json:"slo,omitempty"`
 }
 
-// workerStats is one worker's private tally — no sharing until the merge.
-type workerStats struct {
+// tally counts requests by outcome: each worker keeps a private one (no
+// sharing on the hot path), and the report sums them per tenant and for
+// the whole step.
+type tally struct {
 	completed, evals, shed, e4xx, e5xx, netErr uint64
 	hits, misses, slow, traced, shedNoRetry    uint64
 	hists                                      map[string]*hist
 }
 
-func newWorkerStats() *workerStats {
-	return &workerStats{hists: make(map[string]*hist)}
+func newTally() *tally {
+	return &tally{hists: make(map[string]*hist)}
 }
 
 // Run executes one load step and reports it.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Targets) == 0 {
-		return nil, fmt.Errorf("storm: at least one target required")
+	cfg, workers, err := cfg.plan()
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Corpus) == 0 {
-		return nil, fmt.Errorf("storm: empty corpus")
-	}
-	if cfg.Routing != "rr" && cfg.Routing != "hash" {
-		return nil, fmt.Errorf("storm: unknown routing %q (want rr or hash)", cfg.Routing)
-	}
-
-	// Multi-tenant setup: split the workers across tenants in proportion
-	// to weight (largest remainder, minimum one worker each), so the
-	// closed-loop concurrency — and the open-loop absorption capacity —
-	// matches the offered skew.
-	multi := len(cfg.Tenants) > 0
-	var tenantWorkers []int
-	assign := make([]int, 0, cfg.Workers) // worker index → tenant index
-	if multi {
-		seen := make(map[string]bool, len(cfg.Tenants))
-		for _, t := range cfg.Tenants {
-			if t.Name == "" {
-				return nil, fmt.Errorf("storm: tenant with empty name")
-			}
-			if seen[t.Name] {
-				return nil, fmt.Errorf("storm: duplicate tenant %q", t.Name)
-			}
-			seen[t.Name] = true
-			if t.Weight <= 0 {
-				return nil, fmt.Errorf("storm: tenant %q needs a positive weight", t.Name)
-			}
-		}
-		if cfg.Workers < len(cfg.Tenants) {
-			cfg.Workers = len(cfg.Tenants)
-		}
-		tenantWorkers = apportionWorkers(cfg.Workers, cfg.Tenants)
-		for ti, n := range tenantWorkers {
-			for i := 0; i < n; i++ {
-				assign = append(assign, ti)
-			}
-		}
-	}
-
 	ctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 
@@ -252,107 +216,132 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return cfg.Targets[(rr.Add(1)-1)%uint64(len(cfg.Targets))]
 	}
 
-	// Open loop: a pacer emits arrival tokens at cfg.Rate; workers absorb
-	// them. A token nobody can take (all workers busy, buffer full) is a
-	// dropped arrival — offered load the fleet would have shed anyway.
-	// Multi-tenant open loops run one pacer per tenant at its weighted
-	// rate share, feeding that tenant's workers only, so a saturated heavy
-	// tenant drops its own arrivals without stealing light-tenant tokens.
+	// Open loop: one pacer per tenant emits arrival tokens at the tenant's
+	// weighted share of cfg.Rate, feeding that tenant's workers only. A
+	// token nobody can take (all its workers busy, buffer full) is a
+	// dropped arrival — offered load the fleet would have shed anyway —
+	// so a saturated heavy tenant drops its own arrivals without stealing
+	// light-tenant tokens.
 	openLoop := cfg.Rate > 0
-	nTenants := len(cfg.Tenants)
-	if nTenants == 0 {
-		nTenants = 1
-	}
-	workChans := make([]chan struct{}, nTenants)
-	droppedPer := make([]atomic.Uint64, nTenants)
-	if openLoop {
-		if multi {
-			var wsum float64
-			for _, t := range cfg.Tenants {
-				wsum += t.Weight
-			}
-			for ti, t := range cfg.Tenants {
-				workChans[ti] = make(chan struct{}, tenantWorkers[ti]*2)
-				go pace(ctx, cfg.Rate*t.Weight/wsum, workChans[ti], &droppedPer[ti])
-			}
-		} else {
-			workChans[0] = make(chan struct{}, cfg.Workers*2)
-			go pace(ctx, cfg.Rate, workChans[0], &droppedPer[0])
-		}
-	}
-
-	stats := make([]*workerStats, cfg.Workers)
+	works := make([]chan struct{}, len(cfg.Tenants))
+	drops := make([]atomic.Uint64, len(cfg.Tenants))
+	stats := make([]*tally, cfg.Workers)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		stats[w] = newWorkerStats()
-		wg.Add(1)
-		go func(w int, st *workerStats) {
-			defer wg.Done()
+	w := 0
+	for ti, t := range cfg.Tenants {
+		if openLoop {
+			works[ti] = make(chan struct{}, workers[ti]*2)
+			go pace(ctx, rateShare(cfg, ti), works[ti], &drops[ti])
+		}
+		for end := w + workers[ti]; w < end; w++ {
+			stats[w] = newTally()
 			g := &gun{
-				client: cfg.Client, st: st, closedLoop: !openLoop,
+				client: cfg.Client, st: stats[w], closedLoop: !openLoop,
 				epoch: start, track: uint64(w + 1),
 				tracer: cfg.Tracer, sample: cfg.TraceSample,
-				slowAfter: cfg.SLO.LatencyThreshold,
+				slowAfter: cfg.SLO.LatencyThreshold, tenant: t.Name,
 			}
-			ti := 0
-			if multi {
-				ti = assign[w]
-				g.tenant = cfg.Tenants[ti].Name
-			}
-			work := workChans[ti]
-			// Stride through the corpus so the workers jointly cover it
-			// evenly and deterministically.
-			idx := w
-			for {
-				if openLoop {
-					select {
-					case <-ctx.Done():
-						return
-					case _, ok := <-work:
-						if !ok {
+			wg.Add(1)
+			go func(w int, work <-chan struct{}) {
+				defer wg.Done()
+				// Stride through the corpus so the workers jointly cover it
+				// evenly and deterministically.
+				for idx := w; ; idx += cfg.Workers {
+					if openLoop {
+						select {
+						case <-ctx.Done():
 							return
+						case _, ok := <-work:
+							if !ok {
+								return
+							}
 						}
+					} else if ctx.Err() != nil {
+						return
 					}
-				} else if ctx.Err() != nil {
-					return
+					it := &cfg.Corpus[idx%len(cfg.Corpus)]
+					g.shoot(ctx, pick(it), it)
 				}
-				it := &cfg.Corpus[idx%len(cfg.Corpus)]
-				idx += cfg.Workers
-				g.shoot(ctx, pick(it), it)
-			}
-		}(w, stats[w])
+			}(w, works[ti])
+		}
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
 	// Arrivals still buffered at shutdown were offered but never served.
+	dropped := make([]uint64, len(cfg.Tenants))
 	if openLoop {
-		for ti, work := range workChans {
-			if work == nil {
-				continue
-			}
+		for ti, work := range works {
 			for range work {
-				droppedPer[ti].Add(1)
+				drops[ti].Add(1)
 			}
+			dropped[ti] = drops[ti].Load()
 		}
 	}
 
-	droppedTenant := make([]uint64, nTenants)
-	var dropped uint64
-	for ti := range droppedPer {
-		droppedTenant[ti] = droppedPer[ti].Load()
-		dropped += droppedTenant[ti]
-	}
-
-	rep := buildReport(cfg, stats, elapsed, dropped)
-	if multi {
-		addTenantReports(cfg, rep, stats, assign, tenantWorkers, droppedTenant, elapsed)
-	}
+	rep := buildReport(cfg, stats, workers, dropped, elapsed)
 	if cfg.Registry != nil {
 		publish(cfg.Registry, rep)
 	}
 	return rep, nil
+}
+
+// plan validates a step and fills its defaults. It returns the config
+// with at least one tenant and Workers set to the shares' sum, and the
+// workers each tenant gets: a share proportional to its weight (largest
+// remainder, minimum one worker each), so the closed-loop concurrency —
+// and the open-loop absorption capacity — matches the offered skew. An
+// untenanted step is one unnamed tenant that sends no tenant header and
+// gets no report row, so it runs the same code as a tenanted one.
+func (c Config) plan() (Config, []int, error) {
+	c = c.withDefaults()
+	if len(c.Targets) == 0 {
+		return c, nil, fmt.Errorf("storm: at least one target required")
+	}
+	if len(c.Corpus) == 0 {
+		return c, nil, fmt.Errorf("storm: empty corpus")
+	}
+	if c.Routing != "rr" && c.Routing != "hash" {
+		return c, nil, fmt.Errorf("storm: unknown routing %q (want rr or hash)", c.Routing)
+	}
+	seen := make(map[string]bool, len(c.Tenants))
+	for _, t := range c.Tenants {
+		if t.Name == "" {
+			return c, nil, fmt.Errorf("storm: tenant with empty name")
+		}
+		if seen[t.Name] {
+			return c, nil, fmt.Errorf("storm: duplicate tenant %q", t.Name)
+		}
+		seen[t.Name] = true
+		if t.Weight <= 0 {
+			return c, nil, fmt.Errorf("storm: tenant %q needs a positive weight", t.Name)
+		}
+	}
+	if len(c.Tenants) == 0 {
+		c.Tenants = []TenantLoad{{Weight: 1}}
+	}
+	workers := apportionWorkers(c.Workers, c.Tenants)
+	// The one-worker minimum can push the sum past Workers (3 workers at
+	// 100:1:1 is 2+1+1); every share runs.
+	c.Workers = 0
+	for _, n := range workers {
+		c.Workers += n
+	}
+	return c, workers, nil
+}
+
+// rateShare is tenant ti's weighted share of the offered rate (0 in a
+// closed loop).
+func rateShare(cfg Config, ti int) float64 {
+	if cfg.Rate <= 0 {
+		return 0
+	}
+	var wsum float64
+	for _, t := range cfg.Tenants {
+		wsum += t.Weight
+	}
+	return cfg.Rate * cfg.Tenants[ti].Weight / wsum
 }
 
 // apportionWorkers splits the worker pool across tenants by weight:
@@ -421,13 +410,13 @@ func pace(ctx context.Context, rate float64, work chan<- struct{}, dropped *atom
 	}
 }
 
-// gun is one worker's firing state: its private stats plus the trace
+// gun is one worker's firing state: its private tally plus the trace
 // sampler. Sampling is deterministic — a token bucket accrues sample
 // per request and fires on whole tokens — so a given rate traces the
 // same request positions every run.
 type gun struct {
 	client     *http.Client
-	st         *workerStats
+	st         *tally
 	closedLoop bool
 	epoch      time.Time
 	track      uint64
@@ -546,45 +535,95 @@ func retryAfterOf(resp *http.Response) time.Duration {
 	return time.Second
 }
 
-func buildReport(cfg Config, stats []*workerStats, elapsed time.Duration, dropped uint64) *Report {
-	rep := &Report{
-		OfferedRPS:  cfg.Rate,
-		DurationSec: elapsed.Seconds(),
-		Dropped:     dropped,
-		Latency:     make(map[string]*LatencySummary),
-	}
-	merged := make(map[string]*hist)
-	for _, st := range stats {
-		rep.Completed += st.completed
-		rep.CompletedEvals += st.evals
-		rep.Shed += st.shed
-		rep.Errors4xx += st.e4xx
-		rep.Errors5xx += st.e5xx
-		rep.NetErrors += st.netErr
-		rep.CacheHits += st.hits
-		rep.CacheMisses += st.misses
-		rep.Slow += st.slow
-		rep.Traced += st.traced
-		rep.ShedMissingRetryAfter += st.shedNoRetry
-		for ep, h := range st.hists {
-			m := merged[ep]
-			if m == nil {
-				m = &hist{}
-				merged[ep] = m
-			}
-			m.merge(h)
+// buildReport builds the step's Report, and one TenantReport per named
+// tenant, in one pass over the worker tallies. Workers are
+// tenant-exclusive and summed in worker order, so a tenant row is the
+// step's arithmetic over a subset of workers — including an independent
+// SLO grade, which is what a fairness check wants: the light tenant's
+// verdict must hold even while the heavy tenant's burns.
+func buildReport(cfg Config, stats []*tally, workers []int, dropped []uint64, elapsed time.Duration) *Report {
+	all := newTally()
+	per := make([]*tally, len(cfg.Tenants))
+	var allDropped uint64
+	w := 0
+	for ti := range cfg.Tenants {
+		per[ti] = newTally()
+		allDropped += dropped[ti]
+		for end := w + workers[ti]; w < end; w++ {
+			all.add(stats[w])
+			per[ti].add(stats[w])
 		}
 	}
-	if rep.DurationSec > 0 {
-		rep.Throughput = float64(rep.Completed) / rep.DurationSec
-		rep.EvalThroughput = float64(rep.CompletedEvals) / rep.DurationSec
+	rep := all.report(cfg.SLO, elapsed, allDropped)
+	rep.OfferedRPS = cfg.Rate
+	for ti, t := range cfg.Tenants {
+		if t.Name == "" {
+			continue // the one tenant of an untenanted step has no row
+		}
+		if rep.Tenants == nil {
+			rep.Tenants = make(map[string]*TenantReport, len(cfg.Tenants))
+		}
+		r := per[ti].report(cfg.SLO, elapsed, dropped[ti])
+		rep.Tenants[t.Name] = &TenantReport{
+			Weight: t.Weight, Workers: workers[ti], OfferedRPS: rateShare(cfg, ti),
+			Completed: r.Completed, Throughput: r.Throughput,
+			Shed: r.Shed, Dropped: r.Dropped, ShedRate: r.ShedRate,
+			Errors4xx: r.Errors4xx, Errors5xx: r.Errors5xx, NetErrors: r.NetErrors,
+			CacheHits: r.CacheHits, CacheMisses: r.CacheMisses, Slow: r.Slow,
+			ShedMissingRetryAfter: r.ShedMissingRetryAfter,
+			Latency:               r.Latency, SLO: r.SLO,
+		}
 	}
-	attempted := rep.Completed + rep.Shed + rep.Errors4xx + rep.Errors5xx + rep.NetErrors + rep.Dropped
-	if attempted > 0 {
-		rep.ShedRate = float64(rep.Shed+rep.Dropped) / float64(attempted)
+	return rep
+}
+
+// add folds another tally into this one.
+func (t *tally) add(o *tally) {
+	t.completed += o.completed
+	t.evals += o.evals
+	t.shed += o.shed
+	t.e4xx += o.e4xx
+	t.e5xx += o.e5xx
+	t.netErr += o.netErr
+	t.hits += o.hits
+	t.misses += o.misses
+	t.slow += o.slow
+	t.traced += o.traced
+	t.shedNoRetry += o.shedNoRetry
+	for ep, h := range o.hists {
+		m := t.hists[ep]
+		if m == nil {
+			m = &hist{}
+			t.hists[ep] = m
+		}
+		m.merge(h)
 	}
-	for ep, h := range merged {
-		rep.Latency[ep] = &LatencySummary{
+}
+
+// report fills every Report field a tally and its dropped arrivals
+// determine; the step and each tenant row both come from here.
+func (t *tally) report(cfg slo.Config, elapsed time.Duration, dropped uint64) *Report {
+	rep := &Report{
+		DurationSec: elapsed.Seconds(),
+		Completed:   t.completed, CompletedEvals: t.evals,
+		Shed: t.shed, Dropped: dropped, ShedRate: t.shedRate(dropped),
+		Errors4xx: t.e4xx, Errors5xx: t.e5xx, NetErrors: t.netErr,
+		CacheHits: t.hits, CacheMisses: t.misses, Slow: t.slow, Traced: t.traced,
+		ShedMissingRetryAfter: t.shedNoRetry,
+		Latency:               t.latency(), SLO: t.grade(cfg, elapsed),
+	}
+	if sec := rep.DurationSec; sec > 0 {
+		rep.Throughput = float64(t.completed) / sec
+		rep.EvalThroughput = float64(t.evals) / sec
+	}
+	return rep
+}
+
+// latency summarizes each endpoint's histogram in milliseconds.
+func (t *tally) latency() map[string]*LatencySummary {
+	out := make(map[string]*LatencySummary, len(t.hists))
+	for ep, h := range t.hists {
+		out[ep] = &LatencySummary{
 			Count:  h.count,
 			MeanMs: h.mean() * 1e3,
 			P50Ms:  h.quantile(0.50) * 1e3,
@@ -594,101 +633,35 @@ func buildReport(cfg Config, stats []*workerStats, elapsed time.Duration, droppe
 			MaxMs:  h.max * 1e3,
 		}
 	}
-	if cfg.SLO.AvailabilityTarget > 0 || cfg.SLO.LatencyTarget > 0 {
-		// Grade the run as one SLO window. The denominator is admitted
-		// requests (shed 429s and dropped arrivals never burn budget);
-		// errors are 5xx plus transport failures — both client-visible
-		// unavailability.
-		total := rep.Completed + rep.Errors4xx + rep.Errors5xx + rep.NetErrors
-		errs := rep.Errors5xx + rep.NetErrors
-		win := slo.Evaluate("run", elapsed, total, errs, rep.Slow, cfg.SLO)
-		rep.SLO = &slo.Status{
-			AvailabilityTarget:      cfg.SLO.AvailabilityTarget,
-			LatencyTarget:           cfg.SLO.LatencyTarget,
-			LatencyThresholdSeconds: cfg.SLO.LatencyThreshold.Seconds(),
-			Windows:                 []slo.WindowStatus{win},
-			Verdict:                 slo.Verdict([]slo.WindowStatus{win}, cfg.SLO),
-		}
-	}
-	return rep
+	return out
 }
 
-// addTenantReports merges each tenant's workers into a per-tenant row.
-// Workers are tenant-exclusive, so the per-tenant merge is the same
-// arithmetic as the aggregate one over a stats subset — including an
-// independent slo.Evaluate grade per tenant, which is what a fairness
-// check wants: the light tenant's verdict must hold even while the
-// heavy tenant's burns.
-func addTenantReports(cfg Config, rep *Report, stats []*workerStats, assign, tenantWorkers []int, droppedTenant []uint64, elapsed time.Duration) {
-	var wsum float64
-	for _, t := range cfg.Tenants {
-		wsum += t.Weight
+// shedRate is the shed fraction of attempted arrivals: 429s plus dropped
+// arrivals over every arrival, answered or not.
+func (t *tally) shedRate(dropped uint64) float64 {
+	attempted := t.completed + t.shed + t.e4xx + t.e5xx + t.netErr + dropped
+	if attempted == 0 {
+		return 0
 	}
-	rep.Tenants = make(map[string]*TenantReport, len(cfg.Tenants))
-	for ti, t := range cfg.Tenants {
-		tr := &TenantReport{
-			Weight:  t.Weight,
-			Workers: tenantWorkers[ti],
-			Dropped: droppedTenant[ti],
-			Latency: make(map[string]*LatencySummary),
-		}
-		if cfg.Rate > 0 {
-			tr.OfferedRPS = cfg.Rate * t.Weight / wsum
-		}
-		merged := make(map[string]*hist)
-		for w, st := range stats {
-			if assign[w] != ti {
-				continue
-			}
-			tr.Completed += st.completed
-			tr.Shed += st.shed
-			tr.Errors4xx += st.e4xx
-			tr.Errors5xx += st.e5xx
-			tr.NetErrors += st.netErr
-			tr.CacheHits += st.hits
-			tr.CacheMisses += st.misses
-			tr.Slow += st.slow
-			tr.ShedMissingRetryAfter += st.shedNoRetry
-			for ep, h := range st.hists {
-				m := merged[ep]
-				if m == nil {
-					m = &hist{}
-					merged[ep] = m
-				}
-				m.merge(h)
-			}
-		}
-		if sec := elapsed.Seconds(); sec > 0 {
-			tr.Throughput = float64(tr.Completed) / sec
-		}
-		attempted := tr.Completed + tr.Shed + tr.Errors4xx + tr.Errors5xx + tr.NetErrors + tr.Dropped
-		if attempted > 0 {
-			tr.ShedRate = float64(tr.Shed+tr.Dropped) / float64(attempted)
-		}
-		for ep, h := range merged {
-			tr.Latency[ep] = &LatencySummary{
-				Count:  h.count,
-				MeanMs: h.mean() * 1e3,
-				P50Ms:  h.quantile(0.50) * 1e3,
-				P90Ms:  h.quantile(0.90) * 1e3,
-				P99Ms:  h.quantile(0.99) * 1e3,
-				P999Ms: h.quantile(0.999) * 1e3,
-				MaxMs:  h.max * 1e3,
-			}
-		}
-		if cfg.SLO.AvailabilityTarget > 0 || cfg.SLO.LatencyTarget > 0 {
-			total := tr.Completed + tr.Errors4xx + tr.Errors5xx + tr.NetErrors
-			errs := tr.Errors5xx + tr.NetErrors
-			win := slo.Evaluate("run", elapsed, total, errs, tr.Slow, cfg.SLO)
-			tr.SLO = &slo.Status{
-				AvailabilityTarget:      cfg.SLO.AvailabilityTarget,
-				LatencyTarget:           cfg.SLO.LatencyTarget,
-				LatencyThresholdSeconds: cfg.SLO.LatencyThreshold.Seconds(),
-				Windows:                 []slo.WindowStatus{win},
-				Verdict:                 slo.Verdict([]slo.WindowStatus{win}, cfg.SLO),
-			}
-		}
-		rep.Tenants[t.Name] = tr
+	return float64(t.shed+dropped) / float64(attempted)
+}
+
+// grade grades the tally as one SLO window (nil when grading is
+// disabled). The denominator is admitted requests (shed 429s and dropped
+// arrivals never burn budget); errors are 5xx plus transport failures —
+// both client-visible unavailability.
+func (t *tally) grade(cfg slo.Config, elapsed time.Duration) *slo.Status {
+	if cfg.AvailabilityTarget <= 0 && cfg.LatencyTarget <= 0 {
+		return nil
+	}
+	total := t.completed + t.e4xx + t.e5xx + t.netErr
+	win := slo.Evaluate("run", elapsed, total, t.e5xx+t.netErr, t.slow, cfg)
+	return &slo.Status{
+		AvailabilityTarget:      cfg.AvailabilityTarget,
+		LatencyTarget:           cfg.LatencyTarget,
+		LatencyThresholdSeconds: cfg.LatencyThreshold.Seconds(),
+		Windows:                 []slo.WindowStatus{win},
+		Verdict:                 slo.Verdict([]slo.WindowStatus{win}, cfg),
 	}
 }
 
