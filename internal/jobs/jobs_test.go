@@ -565,8 +565,10 @@ func TestUnwritableDirDegradesNotFails(t *testing.T) {
 	}
 	defer os.Chmod(parent, 0o755)
 	m, err := NewManager(Config{
-		Dir:      filepath.Join(parent, "jobs"),
-		Evaluate: func(context.Context, string, string, []byte, CheckpointStore) ([]byte, error) { return []byte("ok"), nil },
+		Dir: filepath.Join(parent, "jobs"),
+		Evaluate: func(context.Context, string, string, []byte, CheckpointStore) ([]byte, error) {
+			return []byte("ok"), nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

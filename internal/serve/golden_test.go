@@ -35,7 +35,7 @@ type goldenCase struct {
 	knobs []KnobSpec
 }
 
-func goldenCorpus(t *testing.T) []goldenCase {
+func goldenCorpus(t testing.TB) []goldenCase {
 	t.Helper()
 	var cases []goldenCase
 	pool, err := storm.BuildCorpus(storm.CorpusConfig{Endpoint: "estimate", Unique: 8})
