@@ -53,7 +53,7 @@ var unitSpellings = []string{
 func TestCacheKeysGolden(t *testing.T) {
 	g := simtest.LoadGolden(t, "testdata/cache_keys.json")
 	defer g.Save(t)
-	check := func(name, endpoint string, dto any) string {
+	check := func(name, endpoint string, dto modelRequest) string {
 		t.Helper()
 		key, err := cacheKey(endpoint, dto)
 		if err != nil {
@@ -63,9 +63,9 @@ func TestCacheKeysGolden(t *testing.T) {
 		return key
 	}
 	// decode reads a request body the way the handlers do.
-	decode := func(body []byte, dto any) {
+	decode := func(body []byte, dto modelRequest) {
 		t.Helper()
-		if err := decodeStrict(body, dto); err != nil {
+		if err := decodeRequest(body, dto); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestCacheKeysGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, it := range pool {
-			var dto any
+			var dto modelRequest
 			switch endpoint {
 			case "estimate":
 				dto = &EstimateRequest{}
@@ -94,21 +94,21 @@ func TestCacheKeysGolden(t *testing.T) {
 		if !strings.HasPrefix(c.name, "nfchain") && !strings.HasPrefix(c.name, "panic") {
 			continue
 		}
-		check(c.name, "estimate", EstimateRequest{Spec: c.spec})
-		check(c.name, "optimize", OptimizeRequest{Spec: c.spec, Goal: "goodput", Knobs: c.knobs})
-		check(c.name, "simulate", SimulateRequest{Spec: c.spec, Duration: 0.002, Seed: 9})
+		check(c.name, "estimate", &EstimateRequest{Spec: c.spec})
+		check(c.name, "optimize", &OptimizeRequest{Spec: c.spec, Goal: "goodput", Knobs: c.knobs})
+		check(c.name, "simulate", &SimulateRequest{Spec: c.spec, Duration: 0.002, Seed: 9})
 	}
 
 	var first string
 	for i, doc := range unitSpellings {
 		var req EstimateRequest
 		decode([]byte(`{"spec": `+doc+`}`), &req)
-		key, err := cacheKey("estimate", req)
+		key, err := cacheKey("estimate", &req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = check("units", "estimate", req)
+			first = check("units", "estimate", &req)
 		} else if key != first {
 			t.Fatalf("unit spelling %d keys %s, want %s (spelling 0)", i, key, first)
 		}

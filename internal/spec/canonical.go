@@ -3,13 +3,15 @@ package spec
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+
+	"lognic/internal/strictjson"
 )
 
 // Canonical renders the spec in a canonical byte form suitable for
-// content-addressed caching: compact JSON with fields in struct order,
-// units already normalized to numbers (bytes, bytes/second) by the
-// Bandwidth/Size unmarshalers. Two parses of the same document — or of
+// content-addressed caching: the compact JSON json.Marshal writes for f
+// (WriteJSON writes it without reflection), with fields in struct order
+// and units already normalized to numbers (bytes, bytes/second) when the
+// spec was decoded. Two parses of the same document — or of
 // documents differing only in whitespace, key order within an object, or
 // unit spelling ("50Gbps" vs 6.25e9) — produce identical bytes.
 //
@@ -17,7 +19,12 @@ import (
 // different field values the model treats identically (e.g. kind "" vs
 // "ip") hash differently. That costs cache sharing, never correctness.
 func (f File) Canonical() ([]byte, error) {
-	return json.Marshal(f)
+	w := strictjson.Writer{B: make([]byte, 0, 1024)}
+	f.WriteJSON(&w)
+	if w.Err != nil {
+		return nil, w.Err
+	}
+	return w.B, nil
 }
 
 // Hash returns the hex SHA-256 of the canonical form: a content address
