@@ -109,8 +109,7 @@ func (m Model) vertexTiming(i int) VertexTiming {
 					Servers:  v.Parallelism,
 					Capacity: v.Parallelism + v.QueueCapacity,
 				}
-				vt.Queue = q.QueueingDelay()
-				vt.DropRate = q.BlockingProb()
+				vt.Queue, vt.DropRate = q.Solve()
 			default:
 				q := queueing.MM1N{Lambda: vt.Lambda, Mu: vt.Mu, Capacity: v.QueueCapacity}
 				vt.Queue = q.QueueingDelayClosedForm()

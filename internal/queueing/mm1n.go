@@ -256,17 +256,42 @@ func (q MMcK) StateProb(n int) float64 {
 	return w[n] / sum
 }
 
-// BlockingProb returns the probability an arrival is dropped.
-func (q MMcK) BlockingProb() float64 { return q.StateProb(q.Capacity) }
-
-// MeanOccupancy returns the average number of requests in the system.
-func (q MMcK) MeanOccupancy() float64 {
+// solve builds the state weights once and returns the blocking
+// probability w_K/Σw and the mean occupancy Σn·w_n/Σw.
+func (q MMcK) solve() (blocking, occupancy float64) {
 	w, sum := q.stateWeights()
 	l := 0.0
 	for n, v := range w {
 		l += float64(n) * v
 	}
-	return l / sum
+	return w[q.Capacity] / sum, l / sum
+}
+
+// Solve returns the mean pre-service wait of admitted requests and the
+// probability an arrival is dropped, from one build of the state weights
+// (latency evaluation needs both for every M/M/c/K vertex).
+func (q MMcK) Solve() (delay, blocking float64) {
+	blocking, occupancy := q.solve()
+	le := q.Lambda * (1 - blocking)
+	if le == 0 {
+		return 0, blocking
+	}
+	if delay = occupancy/le - 1/q.Mu; delay < 0 {
+		delay = 0
+	}
+	return delay, blocking
+}
+
+// BlockingProb returns the probability an arrival is dropped.
+func (q MMcK) BlockingProb() float64 {
+	_, b := q.Solve()
+	return b
+}
+
+// MeanOccupancy returns the average number of requests in the system.
+func (q MMcK) MeanOccupancy() float64 {
+	_, l := q.solve()
+	return l
 }
 
 // EffectiveArrivalRate returns λ(1 − blocking).
@@ -276,14 +301,7 @@ func (q MMcK) EffectiveArrivalRate() float64 {
 
 // QueueingDelay returns the mean pre-service wait for admitted requests.
 func (q MMcK) QueueingDelay() float64 {
-	le := q.EffectiveArrivalRate()
-	if le == 0 {
-		return 0
-	}
-	d := q.MeanOccupancy()/le - 1/q.Mu
-	if d < 0 {
-		return 0
-	}
+	d, _ := q.Solve()
 	return d
 }
 
