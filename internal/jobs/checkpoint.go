@@ -149,8 +149,9 @@ func (m *Manager) noteCheckpointLocked(id string, bytes int) {
 		return
 	}
 	j.ckptSaves++
-	m.publishLocked(id, Event{Type: EventCheckpoint, State: j.state,
-		Attempt: j.attempts, Checkpoints: j.ckptSaves})
+	state, attempts := j.status()
+	m.publishLocked(id, Event{Type: EventCheckpoint, State: state,
+		Attempt: attempts, Checkpoints: j.ckptSaves})
 	if m.cfg.Tracer != nil {
 		var traceID string
 		if tc, err := obs.ParseTraceparent(j.trace); err == nil {
@@ -173,9 +174,10 @@ func (m *Manager) MarkResumed(id string) {
 	defer m.mu.Unlock()
 	if j := m.jobs[id]; j != nil && !j.resumed {
 		j.resumed = true
-		m.jobLogger(j).Info("attempt resumed from checkpoint", "attempt", j.attempts)
-		m.publishLocked(id, Event{Type: EventResumed, State: j.state,
-			Attempt: j.attempts, Resumed: true})
+		state, attempts := j.status()
+		m.jobLogger(j).Info("attempt resumed from checkpoint", "attempt", attempts)
+		m.publishLocked(id, Event{Type: EventResumed, State: state,
+			Attempt: attempts, Resumed: true})
 	}
 	m.resumes.Inc()
 }

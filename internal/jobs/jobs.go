@@ -44,6 +44,14 @@ const (
 var states = []State{StateQueued, StateRunning, StateSucceeded, StateFailed, StateCancelled}
 
 // Job is a point-in-time snapshot of one job, safe to retain.
+//
+// A restart rebuilds ID, Kind, State, Attempts, Error, Result, Created
+// and Finished from the journal, as the records left them: a job that was
+// running comes back queued, with the interrupted attempt uncounted.
+// Started, RetryAt, Coalesced and Resumed are process-local and start
+// over at zero. A job cancelled mid-attempt is the one whose Finished
+// differs: live it is the time the attempt unwound, after a restart the
+// time of the cancel.
 type Job struct {
 	// ID is the canonical request hash — the idempotency key.
 	ID string

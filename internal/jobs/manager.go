@@ -95,11 +95,14 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// job is the manager's mutable record; all fields are guarded by
-// Manager.mu except the fields copied into Job snapshots.
+// job is the manager's mutable record, guarded by Manager.mu. The
+// journaled fields (kind, body, trace, state, attempts, result, errMsg,
+// created, finished and userCancelled) change only in applyLocked; the
+// rest are process-local.
 type job struct {
 	id, kind string
 	body     []byte
+	// state is the journaled state; it is never running (see status).
 	state    State
 	attempts int
 	coal     int
@@ -111,7 +114,8 @@ type job struct {
 	finished time.Time
 	// retryAt is the scheduled next-attempt time while queued in backoff.
 	retryAt time.Time
-	// cancel aborts the running attempt; non-nil only while running.
+	// cancel aborts the running attempt; non-nil exactly while an attempt
+	// runs.
 	cancel context.CancelFunc
 	// userCancelled distinguishes DELETE /v1/jobs from a shutdown
 	// cancellation: the first is terminal, the second leaves the job
@@ -248,7 +252,8 @@ func (m *Manager) Start() error {
 	return nil
 }
 
-// replayLocked rebuilds job state from journal records, in order.
+// replayLocked rebuilds job state by applying the journal's records in
+// order, then re-enqueues every job they leave queued.
 func (m *Manager) replayLocked(records [][]byte) {
 	for _, rec := range records {
 		var r record
@@ -256,48 +261,7 @@ func (m *Manager) replayLocked(records [][]byte) {
 			continue // an old or foreign record shape; framing already vouched for integrity
 		}
 		m.replayed.Inc()
-		j := m.jobs[r.ID]
-		switch r.Type {
-		case "submit":
-			if j == nil {
-				j = &job{id: r.ID, created: time.Unix(0, r.Unix)}
-				m.jobs[r.ID] = j
-			}
-			// A submit record also reopens a previously terminal job
-			// (resubmission after failure/cancel).
-			j.kind = r.Kind
-			j.body = append([]byte(nil), r.Body...)
-			j.state = StateQueued
-			j.attempts = 0
-			j.result = nil
-			j.errMsg = ""
-			j.userCancelled = false
-			j.trace = r.Trace
-		case "attempt":
-			if j != nil {
-				j.attempts = r.Attempts
-				j.errMsg = r.Error
-			}
-		case "done":
-			if j != nil {
-				j.state = StateSucceeded
-				j.result = append([]byte(nil), r.Result...)
-				j.finished = time.Unix(0, r.Unix)
-			}
-		case "fail":
-			if j != nil {
-				j.state = StateFailed
-				j.errMsg = r.Error
-				j.attempts = r.Attempts
-				j.finished = time.Unix(0, r.Unix)
-			}
-		case "cancel":
-			if j != nil {
-				j.state = StateCancelled
-				j.userCancelled = true
-				j.finished = time.Unix(0, r.Unix)
-			}
-		}
+		m.applyLocked(r)
 	}
 	for id, j := range m.jobs {
 		if j.state == StateQueued {
@@ -309,13 +273,61 @@ func (m *Manager) replayLocked(records [][]byte) {
 	m.refreshStateGauges()
 }
 
-// append journals one record, degrading to memory-only on failure. The
+// commitLocked stamps a record with the current time, journals it and
+// applies it: the only way the live paths change a job's journaled
+// fields. It returns the job the record applied to.
+func (m *Manager) commitLocked(r record) *job {
+	r.Unix = time.Now().UnixNano()
+	m.appendLocked(r)
+	return m.applyLocked(r)
+}
+
+// applyLocked applies one journal record to its job. It is the one
+// definition of every journaled transition: live paths reach it through
+// commitLocked and replay feeds it the journal, so a restart rebuilds
+// exactly the state the records describe. It returns the job, or nil for
+// a record about a job no submit created.
+func (m *Manager) applyLocked(r record) *job {
+	at := time.Unix(0, r.Unix)
+	j := m.jobs[r.ID]
+	if j == nil {
+		if r.Type != "submit" {
+			return nil
+		}
+		j = &job{id: r.ID, created: at}
+		m.jobs[r.ID] = j
+	}
+	switch r.Type {
+	case "submit":
+		// A submit also reopens a failed or cancelled job: every
+		// journaled field starts over.
+		j.kind, j.body, j.trace = r.Kind, append([]byte(nil), r.Body...), r.Trace
+		j.state, j.attempts, j.errMsg, j.result = StateQueued, 0, "", nil
+		j.finished, j.retryAt, j.resumed, j.userCancelled = time.Time{}, time.Time{}, false, false
+	case "attempt":
+		// A failed attempt with budget left: the job waits queued for a retry.
+		j.attempts, j.errMsg = r.Attempts, r.Error
+	case "done":
+		j.state, j.attempts, j.errMsg, j.result, j.finished = StateSucceeded, r.Attempts, "", r.Result, at
+	case "fail":
+		j.state, j.attempts, j.errMsg, j.finished = StateFailed, r.Attempts, r.Error, at
+	case "cancel":
+		j.userCancelled = true
+		// A running job only takes the mark: it goes terminal when its
+		// attempt unwinds and applies the cancel again.
+		if j.cancel == nil {
+			j.state, j.finished = StateCancelled, at
+		}
+	}
+	return j
+}
+
+// appendLocked journals one record, degrading to memory-only on failure. The
 // caller holds mu.
 func (m *Manager) appendLocked(r record) {
 	if m.journal == nil {
 		return
 	}
-	r.Unix = time.Now().UnixNano()
 	payload, err := json.Marshal(r)
 	if err != nil {
 		m.degradeLocked(err)
@@ -358,11 +370,22 @@ func (m *Manager) Degraded() bool {
 // observable the coalescing tests assert on.
 func (m *Manager) Evaluations() float64 { return m.evals.Value() }
 
-// snapshotLocked copies a job into its public form.
+// status is the state and attempt count the job reports: while an
+// attempt runs, running with that attempt counted; otherwise the
+// journaled ones.
+func (j *job) status() (State, int) {
+	if j.cancel != nil {
+		return StateRunning, j.attempts + 1
+	}
+	return j.state, j.attempts
+}
+
+// snapshot copies a job into its public form.
 func (j *job) snapshot(maxAttempts int) Job {
+	state, attempts := j.status()
 	out := Job{
-		ID: j.id, Kind: j.kind, State: j.state,
-		Attempts: j.attempts, MaxAttempts: maxAttempts, Coalesced: j.coal,
+		ID: j.id, Kind: j.kind, State: state,
+		Attempts: attempts, MaxAttempts: maxAttempts, Coalesced: j.coal,
 		Error: j.errMsg, Resumed: j.resumed,
 		Created: j.created, Started: j.started, Finished: j.finished,
 		RetryAt: j.retryAt,
@@ -400,24 +423,8 @@ func (m *Manager) SubmitTrace(kind, id string, body []byte, traceparent string) 
 		m.coalesced.Inc()
 		return j.snapshot(m.cfg.MaxAttempts), false, nil
 	}
-	j := m.jobs[id]
-	if j == nil {
-		j = &job{id: id, created: time.Now()}
-		m.jobs[id] = j
-	}
-	j.kind = kind
-	j.body = append([]byte(nil), body...)
-	j.state = StateQueued
-	j.attempts = 0
-	j.result = nil
-	j.errMsg = ""
-	j.resumed = false
-	j.userCancelled = false
-	j.finished = time.Time{}
-	j.retryAt = time.Time{}
-	j.trace = traceparent
 	m.submitted.Inc()
-	m.appendLocked(record{Type: "submit", ID: id, Kind: kind, Body: body, Trace: traceparent})
+	j := m.commitLocked(record{Type: "submit", ID: id, Kind: kind, Body: body, Trace: traceparent})
 	m.enqueueLocked(id)
 	m.refreshStateGauges()
 	m.jobLogger(j).Info("job submitted", "kind", kind, "state", StateQueued)
@@ -465,13 +472,10 @@ func (m *Manager) Cancel(id string) (Job, bool) {
 	if j.state.Terminal() {
 		return j.snapshot(m.cfg.MaxAttempts), true
 	}
-	j.userCancelled = true
-	m.appendLocked(record{Type: "cancel", ID: id})
-	if j.state == StateRunning && j.cancel != nil {
-		j.cancel() // the worker finalizes the state transition
+	m.commitLocked(record{Type: "cancel", ID: id})
+	if j.cancel != nil {
+		j.cancel() // the attempt's unwind finishes the job
 	} else {
-		j.state = StateCancelled
-		j.finished = time.Now()
 		m.dropCheckpointLocked(j)
 		m.jobLogger(j).Info("job cancelled", "state", StateCancelled)
 		m.publishLocked(id, Event{Type: EventState, State: StateCancelled, Terminal: true})
@@ -533,13 +537,12 @@ func (m *Manager) worker() {
 func (m *Manager) runAttempt(id string) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
-	if !ok || j.state != StateQueued {
-		// Cancelled (or resubmission-superseded) while waiting.
+	if !ok || j.state != StateQueued || j.cancel != nil {
+		// Cancelled while waiting, or already running.
 		m.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.attempts++
+	attempt := j.attempts + 1
 	j.retryAt = time.Time{}
 	if j.started.IsZero() {
 		j.started = time.Now()
@@ -547,7 +550,6 @@ func (m *Manager) runAttempt(id string) {
 	ctx, cancel := context.WithCancel(m.closeCtx)
 	j.cancel = cancel
 	kind, body := j.kind, j.body
-	attempt := j.attempts
 	log := m.jobLogger(j)
 	// Mint the attempt's trace position: a child span of the submitting
 	// request, carried on the attempt context so the evaluator (and the
@@ -574,9 +576,6 @@ func (m *Manager) runAttempt(id string) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if mj := m.jobs[id]; mj != j {
-		return // resubmitted out from under us; the new incarnation owns the state
-	}
 	j.cancel = nil
 	j.attemptSpanID = ""
 	outcome := "ok"
@@ -591,33 +590,26 @@ func (m *Manager) runAttempt(id string) {
 	})
 	switch {
 	case err == nil:
-		j.state = StateSucceeded
-		j.result = result
-		j.errMsg = ""
-		j.finished = time.Now()
-		m.appendLocked(record{Type: "done", ID: id, Result: result, Attempts: j.attempts})
+		m.commitLocked(record{Type: "done", ID: id, Result: result, Attempts: attempt})
 		m.dropCheckpointLocked(j)
 		log.Info("job succeeded", "attempt", attempt, "result_bytes", len(result))
 		m.publishLocked(id, Event{Type: EventState, State: StateSucceeded, Attempt: attempt,
 			Result: result, Terminal: true})
 	case j.userCancelled:
-		j.state = StateCancelled
-		j.finished = time.Now()
-		m.dropCheckpointLocked(j) // the cancel record was journaled in Cancel
+		// Cancel journaled the record; applied again with no attempt
+		// running, it finishes the job.
+		m.applyLocked(record{Type: "cancel", ID: id, Unix: time.Now().UnixNano()})
+		m.dropCheckpointLocked(j)
 		log.Info("job cancelled mid-attempt", "attempt", attempt)
 		m.publishLocked(id, Event{Type: EventState, State: StateCancelled, Attempt: attempt,
 			Terminal: true})
 	case m.closed || m.closeCtx.Err() != nil:
-		// Shutdown interrupted the attempt: leave the job queued with the
-		// attempt uncounted, exactly like a crash, so a restart resumes it.
-		j.state = StateQueued
-		j.attempts--
+		// Shutdown interrupted the attempt: nothing is journaled, so the
+		// job stays queued with the attempt uncounted, exactly like a
+		// crash, and a restart resumes it.
 		m.publishLocked(id, Event{Type: EventState, State: StateQueued, Error: "shutdown"})
-	case j.attempts >= m.cfg.MaxAttempts:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.finished = time.Now()
-		m.appendLocked(record{Type: "fail", ID: id, Error: err.Error(), Attempts: j.attempts})
+	case attempt >= m.cfg.MaxAttempts:
+		m.commitLocked(record{Type: "fail", ID: id, Error: err.Error(), Attempts: attempt})
 		m.dropCheckpointLocked(j)
 		log.Error("job failed: attempt budget exhausted",
 			"attempt", attempt, "max_attempts", m.cfg.MaxAttempts, "error", err.Error())
@@ -626,11 +618,9 @@ func (m *Manager) runAttempt(id string) {
 	default:
 		// Retry with capped exponential backoff + jitter. The job shows
 		// as queued (with the last error) while it waits.
-		j.state = StateQueued
-		j.errMsg = err.Error()
-		m.appendLocked(record{Type: "attempt", ID: id, Error: err.Error(), Attempts: j.attempts})
+		m.commitLocked(record{Type: "attempt", ID: id, Error: err.Error(), Attempts: attempt})
 		m.retries.Inc()
-		d := m.backoffLocked(j.attempts)
+		d := m.backoffLocked(attempt)
 		j.retryAt = time.Now().Add(d)
 		log.Warn("attempt failed; retry scheduled",
 			"attempt", attempt, "error", err.Error(), "retry_in", d.String())
@@ -650,7 +640,7 @@ func (m *Manager) runAttempt(id string) {
 			if m.closed {
 				return
 			}
-			if jj, ok := m.jobs[id]; ok && jj.state == StateQueued {
+			if jj, ok := m.jobs[id]; ok && jj.state == StateQueued && jj.cancel == nil {
 				jj.retryAt = time.Time{} // backoff served; now genuinely pending
 				m.enqueueLocked(id)
 			}
@@ -729,7 +719,8 @@ func (m *Manager) Close() {
 func (m *Manager) refreshStateGauges() {
 	counts := map[State]int{}
 	for _, j := range m.jobs {
-		counts[j.state]++
+		st, _ := j.status()
+		counts[st]++
 	}
 	for _, st := range states {
 		m.stateG[st].Set(float64(counts[st]))

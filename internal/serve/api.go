@@ -10,14 +10,15 @@ package serve
 // normalized to numbers — whose SHA-256 keys the result cache.
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"lognic/internal/core"
+	"lognic/internal/jobs"
 	"lognic/internal/obs"
 	"lognic/internal/optimizer"
 	"lognic/internal/sim"
@@ -119,18 +120,6 @@ type badRequest struct{ err error }
 func (b badRequest) Error() string { return b.err.Error() }
 func (b badRequest) Unwrap() error { return b.err }
 
-// decodeStrict decodes a job submission envelope, rejecting unknown
-// fields so typos fail loudly instead of silently running a different
-// job. The model requests it carries decode through decodeRequest.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest{fmt.Errorf("serve: bad request body: %w", err)}
-	}
-	return nil
-}
-
 // modelRequest is a model endpoint's request DTO.
 type modelRequest interface {
 	// read decodes the request from d.
@@ -139,8 +128,9 @@ type modelRequest interface {
 	write(w *strictjson.Writer)
 }
 
-// decodeRequest decodes a model endpoint's request body into req.
-func decodeRequest(body []byte, req modelRequest) error {
+// decodeRequest decodes a request body into req: a model endpoint's
+// request or a job submission envelope.
+func decodeRequest(body []byte, req interface{ read(d *strictjson.Decoder) }) error {
 	if err := strictjson.Decode(body, req.read); err != nil {
 		return badRequest{fmt.Errorf("serve: bad request body: %w", err)}
 	}
@@ -325,10 +315,27 @@ func EstimatePoint(m core.Model) (PointResult, error) {
 }
 
 // prepared is one admitted request: its cache key and the work to run if
-// the cache misses.
+// the cache misses. run takes the job attempt it runs under, nil for a
+// synchronous request.
 type prepared struct {
 	key string
-	run func(ctx context.Context) (any, error)
+	run func(ctx context.Context, at *jobAttempt) (any, error)
+}
+
+// jobAttempt is one async job attempt: the job's id and checkpoint slot.
+type jobAttempt struct {
+	id string
+	ck jobs.CheckpointStore
+}
+
+// encodeResult serializes an evaluation result: the synchronous response
+// body and the async job result alike.
+func encodeResult(result any) ([]byte, error) {
+	out, err := json.Marshal(result)
+	if err != nil {
+		return nil, err
+	}
+	return append(out, '\n'), nil
 }
 
 // prepareEstimate decodes and validates an estimate request.
@@ -345,7 +352,7 @@ func (s *Server) prepareEstimate(body []byte) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	return prepared{key: key, run: func(ctx context.Context) (any, error) {
+	return prepared{key: key, run: func(context.Context, *jobAttempt) (any, error) {
 		return EstimatePoint(m)
 	}}, nil
 }
@@ -379,7 +386,7 @@ func (s *Server) prepareOptimize(body []byte) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	return prepared{key: key, run: func(ctx context.Context) (any, error) {
+	return prepared{key: key, run: func(context.Context, *jobAttempt) (any, error) {
 		return Optimize(m, goal, knobs, req.MaxEvals)
 	}}, nil
 }
@@ -405,43 +412,25 @@ func Optimize(m core.Model, goal optimizer.Goal, knobs []optimizer.IntKnob, maxE
 	return out, nil
 }
 
-// prepareSimulate decodes and validates a simulate request.
+// prepareSimulate decodes and validates a simulate request. Under a job
+// attempt the run also saves periodic checkpoints to the job's slot,
+// resumes from a saved one instead of starting over, and reports progress
+// to the job's subscribers; a synchronous run does none of these.
 func (s *Server) prepareSimulate(body []byte) (prepared, error) {
-	req, cfg, err := s.decodeSimulate(body)
-	if err != nil {
+	var req SimulateRequest
+	if err := decodeRequest(body, &req); err != nil {
 		return prepared{}, err
+	}
+	m, err := req.Spec.Model()
+	if err != nil {
+		return prepared{}, badRequest{err}
+	}
+	if req.Duration <= 0 {
+		return prepared{}, badRequest{fmt.Errorf("serve: simulate needs duration > 0 seconds")}
 	}
 	key, err := cacheKey("simulate", &req)
 	if err != nil {
 		return prepared{}, err
-	}
-	return prepared{key: key, run: func(ctx context.Context) (any, error) {
-		// Synchronous simulations join the request's trace. (Cache hits
-		// skip the evaluation entirely, so a traced run is only guaranteed
-		// on a cold key.)
-		cfg := s.traceSim(ctx, cfg)
-		sm, err := sim.New(cfg)
-		if err != nil {
-			return nil, badRequest{err}
-		}
-		return sm.RunContext(ctx)
-	}}, nil
-}
-
-// decodeSimulate decodes and validates a simulate request into the
-// simulator config that runs it — shared by /v1/simulate and async
-// simulate jobs, so both run the same simulation for the same body.
-func (s *Server) decodeSimulate(body []byte) (SimulateRequest, sim.Config, error) {
-	var req SimulateRequest
-	if err := decodeRequest(body, &req); err != nil {
-		return req, sim.Config{}, err
-	}
-	m, err := req.Spec.Model()
-	if err != nil {
-		return req, sim.Config{}, badRequest{err}
-	}
-	if req.Duration <= 0 {
-		return req, sim.Config{}, badRequest{fmt.Errorf("serve: simulate needs duration > 0 seconds")}
 	}
 	cfg := sim.ForModel(m)
 	cfg.Seed = req.Seed
@@ -453,7 +442,50 @@ func (s *Server) decodeSimulate(body []byte) (SimulateRequest, sim.Config, error
 		cfg.MaxEvents = s.cfg.MaxSimEvents
 	}
 	cfg.Shards = req.Shards
-	return req, cfg, nil
+	return prepared{key: key, run: func(ctx context.Context, at *jobAttempt) (any, error) {
+		// The simulation joins the trace on ctx, the request's or the job
+		// attempt's. (Cache hits skip the evaluation entirely, so a traced
+		// synchronous run is only guaranteed on a cold key.)
+		cfg := s.traceSim(ctx, cfg)
+		var sm *sim.Simulator
+		if at != nil {
+			// Progress frames are throttled to wall clock: the sim polls
+			// far faster than any human or dashboard.
+			var lastProgress time.Time
+			cfg.Progress = func(p sim.Progress) {
+				// The poll before the first event has no progress to report.
+				if now := time.Now(); p.Events > 0 && now.Sub(lastProgress) >= 50*time.Millisecond {
+					lastProgress = now
+					s.jobs.Progress(at.id, p.Events, p.SimTime, p.Checkpoints)
+				}
+			}
+			cfg.CheckpointEvery = s.cfg.JobCheckpointEvery
+			cfg.CheckpointSink = func(c *sim.Checkpoint) error {
+				// Best-effort: a snapshot that cannot be encoded is not saved.
+				if b, err := c.Encode(); err == nil {
+					at.ck.Save(b)
+				}
+				return nil
+			}
+			// A stale or undecodable snapshot (server upgraded, knob
+			// changed) falls through to a fresh run: correct, just slower.
+			if b, ok := at.ck.Load(); ok {
+				if ckpt, err := sim.DecodeCheckpoint(b); err == nil {
+					if resumed, err := sim.Resume(cfg, ckpt); err == nil {
+						sm = resumed
+						s.jobs.MarkResumed(at.id)
+					}
+				}
+			}
+		}
+		if sm == nil {
+			var err error
+			if sm, err = sim.New(cfg); err != nil {
+				return nil, badRequest{err}
+			}
+		}
+		return sm.RunContext(ctx)
+	}}, nil
 }
 
 // traceSim joins a simulation to the trace on ctx: its vertex spans

@@ -5,12 +5,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestDecodeErrorText pins the 400 bodies that malformed requests get.
 // The expected bodies were recorded from the encoding/json decoder the
-// model endpoints used before the hand-written one, so clients that match
-// on error text see no change.
+// model endpoints and the job envelope used before the hand-written one,
+// so clients that match on error text see no change.
 func TestDecodeErrorText(t *testing.T) {
 	spec := func(edge string) string {
 		return `{"spec": {"graph": {"vertices": [{"name": "rx", "kind": "ingress"}, {"name": "tx", "kind": "egress"}],` +
@@ -82,10 +83,24 @@ func TestDecodeErrorText(t *testing.T) {
 			`{"error":"serve: bad request body: json: cannot unmarshal object into Go struct field GraphSpec.spec.graph.edges of type []spec.EdgeSpec"}`},
 		{"valid edge", "/v1/estimate", spec(ok) + `, "extra": 1}`,
 			`{"error":"serve: bad request body: json: unknown field \"extra\""}`},
+		{"job unknown field", "/v1/jobs", `{"kind": "estimate", "request": {}, "extra": 1}`,
+			`{"error":"serve: bad request body: json: unknown field \"extra\""}`},
+		{"job numeric kind", "/v1/jobs", `{"kind": 1, "request": {}}`,
+			`{"error":"serve: bad request body: json: cannot unmarshal number into Go struct field JobSubmitRequest.kind of type string"}`},
+		{"job truncated body", "/v1/jobs", `{"kind": "estimate", "request": {"spec": {}`,
+			`{"error":"serve: bad request body: unexpected EOF"}`},
+		{"job empty body", "/v1/jobs", ``,
+			`{"error":"serve: bad request body: EOF"}`},
 	}
 	s := NewServer(Config{})
 	t.Cleanup(s.Close)
 	h := s.Handler()
+	// The job rows need the (memory-only) journal replay to have finished.
+	for deadline := time.Now().Add(5 * time.Second); !s.jobsReady.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("job manager never became ready")
+		}
+	}
 	for _, r := range rows {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, r.path, strings.NewReader(r.body)))

@@ -167,21 +167,47 @@ func fuzzSeeds(t testing.TB) []string {
 	return seeds
 }
 
-// FuzzServeRequest runs the model endpoints' request path — decode,
-// validate, cache key — differentially against encoding/json: every input
-// must get the oracle's accept/reject decision and error text, every
-// accepted input the oracle's value and cache key, and no input may be
-// answered with a 5xx.
+// envelopeQuirks are POST /v1/jobs bodies on the edges of what
+// encoding/json accepts for the envelope.
+var envelopeQuirks = []string{
+	`{"KIND": "estimate", "Request": null}`,
+	`{"kind": null, "request": [1, {"a": "b"}]}`,
+	`{"kind": "optimize", "kind": "simulate", "request": 1, "request": "x"}`,
+	`{"kind": "estimate", "request": {"spec": {}}, "extra": 1}`,
+	`{"kind": 1, "request": {}}`,
+	`{"kind": "\u0065stimate", "request":  true }`,
+	`{"kind": "simulate", "request": {"spec": {}, "duration": 1}`,
+	`{"request": {"spec": {"name": "a",]}}}`,
+}
+
+// FuzzServeRequest runs the request path — decode, validate, cache key —
+// differentially against encoding/json for four body shapes: the three
+// model endpoints and the POST /v1/jobs envelope. Every input must get
+// the oracle's accept/reject decision and error text, every accepted
+// input the oracle's value (and, for a model request, cache key), and no
+// input may be answered with a 5xx.
 func FuzzServeRequest(f *testing.F) {
-	for _, body := range fuzzSeeds(f) {
+	seeds := fuzzSeeds(f)
+	for _, body := range seeds {
 		for ep := range fuzzEndpoints {
 			f.Add(uint8(ep), []byte(body))
 		}
 	}
+	envelope := uint8(len(fuzzEndpoints))
+	for _, body := range append(seeds, envelopeQuirks...) {
+		f.Add(envelope, []byte(body))
+	}
+	for i, body := range seeds {
+		f.Add(envelope, []byte(fmt.Sprintf(`{"kind": %q, "request": %s}`, fuzzEndpoints[i%len(fuzzEndpoints)], body)))
+	}
 	s := NewServer(Config{})
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, ep uint8, body []byte) {
-		endpoint := fuzzEndpoints[int(ep)%len(fuzzEndpoints)]
+		if int(ep)%(len(fuzzEndpoints)+1) == len(fuzzEndpoints) {
+			fuzzEnvelope(t, s, body)
+			return
+		}
+		endpoint := fuzzEndpoints[int(ep)%(len(fuzzEndpoints)+1)]
 		want, got := newDTO(endpoint), newDTO(endpoint)
 		wantErr := oracleDecode(body, want)
 		gotErr := decodeRequest(body, got)
@@ -207,4 +233,29 @@ func FuzzServeRequest(f *testing.F) {
 			t.Fatalf("%s %q: status %d: %v", endpoint, body, statusFor(err), err)
 		}
 	})
+}
+
+// fuzzEnvelope checks one POST /v1/jobs body against encoding/json
+// decoding into JobSubmitRequest, then runs an accepted envelope's request
+// through its kind's preparer, as submission does.
+func fuzzEnvelope(t *testing.T, s *Server, body []byte) {
+	var want, got JobSubmitRequest
+	wantErr := oracleDecode(body, &want)
+	gotErr := decodeRequest(body, &got)
+	switch {
+	case (wantErr == nil) != (gotErr == nil):
+		t.Fatalf("envelope %q: decode error %v, oracle %v", body, gotErr, wantErr)
+	case wantErr != nil:
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("envelope %q: decode error\n %v\noracle\n %v", body, gotErr, wantErr)
+		}
+		return
+	case fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want):
+		t.Fatalf("envelope %q: decoded\n %#v\noracle\n %#v", body, got, want)
+	}
+	if prep := s.jobPreparer(got.Kind); prep != nil {
+		if _, err := prep(got.Request); err != nil && statusFor(err) >= http.StatusInternalServerError {
+			t.Fatalf("envelope %q: status %d: %v", body, statusFor(err), err)
+		}
+	}
 }

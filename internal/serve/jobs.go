@@ -24,11 +24,11 @@ import (
 	"time"
 
 	"lognic/internal/jobs"
-	"lognic/internal/sim"
+	"lognic/internal/strictjson"
 )
 
-// jobKinds maps a submission kind to its request preparer (validation +
-// canonical hash). The evaluator dispatches on the same names.
+// jobPreparer maps a job kind to its endpoint's request preparer
+// (validation, canonical hash and evaluation), nil for an unknown kind.
 func (s *Server) jobPreparer(kind string) func([]byte) (prepared, error) {
 	switch kind {
 	case "estimate":
@@ -48,6 +48,22 @@ type JobSubmitRequest struct {
 	Kind string `json:"kind"`
 	// Request is the body the matching synchronous endpoint would take.
 	Request json.RawMessage `json:"request"`
+}
+
+// read decodes the envelope as encoding/json would into the struct, unknown
+// fields rejected so typos fail loudly instead of running a different job.
+func (r *JobSubmitRequest) read(d *strictjson.Decoder) {
+	d.Object("serve.JobSubmitRequest", func(key []byte) bool {
+		switch {
+		case d.Field(key, "kind"):
+			d.String(&r.Kind)
+		case d.Field(key, "request"):
+			r.Request = append(json.RawMessage(nil), d.Raw()...)
+		default:
+			return false
+		}
+		return true
+	})
 }
 
 // JobView is the wire shape of one job, returned by every /v1/jobs
@@ -134,7 +150,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var env JobSubmitRequest
-	if err := decodeStrict(body, &env); err != nil {
+	if err := decodeRequest(body, &env); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -235,84 +251,24 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// evalJob is the jobs.Manager evaluator: it maps a journaled (kind, body)
-// back onto the endpoint logic. Attempts deliberately run without
-// RequestTimeout — outliving synchronous limits is what jobs are for —
-// bounded instead by the simulation event budget and shutdown.
+// evalJob is the jobs.Manager evaluator: it runs a journaled (kind, body)
+// through the endpoint's own preparer, evaluation and encoder, so a job
+// result is byte for byte the body the synchronous endpoint answers.
+// Attempts deliberately run without RequestTimeout (outliving synchronous
+// limits is what jobs are for), bounded instead by the simulation event
+// budget and shutdown.
 func (s *Server) evalJob(ctx context.Context, id, kind string, body []byte, ck jobs.CheckpointStore) ([]byte, error) {
-	var result any
-	var err error
-	switch kind {
-	case "simulate":
-		result, err = s.runSimulateJob(ctx, id, body, ck)
-	case "estimate", "optimize":
-		p, perr := s.jobPreparer(kind)(body)
-		if perr != nil {
-			return nil, perr
-		}
-		result, err = p.run(ctx)
-	default:
+	prepare := s.jobPreparer(kind)
+	if prepare == nil {
 		return nil, badRequest{fmt.Errorf("serve: unknown job kind %q", kind)}
 	}
+	p, err := prepare(body)
 	if err != nil {
 		return nil, err
 	}
-	out, err := json.Marshal(result)
+	result, err := p.run(ctx, &jobAttempt{id: id, ck: ck})
 	if err != nil {
 		return nil, err
 	}
-	// Identical serialization to the synchronous endpoints, so an async
-	// result is byte-for-byte the response /v1/simulate would have sent.
-	return append(out, '\n'), nil
-}
-
-// runSimulateJob runs one simulation attempt with checkpointing: periodic
-// snapshots go to the job's checkpoint slot, and an attempt that finds a
-// snapshot resumes from it instead of starting over.
-func (s *Server) runSimulateJob(ctx context.Context, id string, body []byte, ck jobs.CheckpointStore) (any, error) {
-	_, cfg, err := s.decodeSimulate(body)
-	if err != nil {
-		return nil, err
-	}
-	// The manager stamps the attempt's trace context on the context, so
-	// the simulation's spans parent under the attempt span. Live progress
-	// frames feed the job's SSE subscribers, throttled to wall clock —
-	// the sim polls far faster than any human or dashboard.
-	cfg = s.traceSim(ctx, cfg)
-	var lastProgress time.Time
-	cfg.Progress = func(p sim.Progress) {
-		// The poll before the first event has no progress to report.
-		if now := time.Now(); p.Events > 0 && now.Sub(lastProgress) >= 50*time.Millisecond {
-			lastProgress = now
-			s.jobs.Progress(id, p.Events, p.SimTime, p.Checkpoints)
-		}
-	}
-	if s.cfg.JobCheckpointEvery > 0 {
-		cfg.CheckpointEvery = s.cfg.JobCheckpointEvery
-		cfg.CheckpointSink = func(c *sim.Checkpoint) error {
-			b, err := c.Encode()
-			if err != nil {
-				return nil // best-effort: a snapshot we can't encode just isn't saved
-			}
-			ck.Save(b)
-			return nil
-		}
-	}
-	var sm *sim.Simulator
-	if b, ok := ck.Load(); ok {
-		// A stale or undecodable snapshot (server upgraded, knob changed)
-		// falls through to a fresh run — correct, just slower.
-		if ckpt, derr := sim.DecodeCheckpoint(b); derr == nil {
-			if resumed, rerr := sim.Resume(cfg, ckpt); rerr == nil {
-				sm = resumed
-				s.jobs.MarkResumed(id)
-			}
-		}
-	}
-	if sm == nil {
-		if sm, err = sim.New(cfg); err != nil {
-			return nil, badRequest{err}
-		}
-	}
-	return sm.RunContext(ctx)
+	return encodeResult(result)
 }

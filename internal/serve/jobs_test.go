@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -96,26 +98,75 @@ func TestJobSubmitPollEstimate(t *testing.T) {
 	}
 }
 
-// The async simulate result is byte-identical to the synchronous
-// endpoint's response for the same request.
-func TestJobSimulateMatchesSyncEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobCheckpointEvery: 5000})
+// An async job's result is byte for byte the body the synchronous
+// endpoint answers for the same request, for every kind.
+func TestJobMatchesSyncEndpoint(t *testing.T) {
+	s, ts := newTestServer(t, Config{JobCheckpointEvery: 5000})
 	waitReady(t, ts.Client(), ts.URL)
 
-	resp, syncBody := post(t, ts.Client(), ts.URL+"/v1/simulate", simulateReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sync simulate: %d %s", resp.StatusCode, syncBody)
+	for _, c := range []struct{ kind, req string }{
+		{"estimate", estimateBody(sampleSpec)},
+		{"optimize", `{"spec": ` + sampleSpec + `, "goal": "latency", "knobs": [{"vertex": "cores", "param": "parallelism", "lo": 1, "hi": 8}]}`},
+		{"simulate", simulateReq},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			resp, syncBody := post(t, ts.Client(), ts.URL+"/v1/"+c.kind, c.req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("sync %s: %d %s", c.kind, resp.StatusCode, syncBody)
+			}
+			code, v := submitJob(t, ts.Client(), ts.URL, c.kind, c.req)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit status %d", code)
+			}
+			if done := pollJob(t, ts.Client(), ts.URL, v.ID); done.State != "succeeded" {
+				t.Fatalf("job failed: %+v", done)
+			}
+			j, _ := s.jobs.Get(v.ID)
+			if !bytes.Equal(j.Result, syncBody) {
+				t.Fatalf("job result differs from the synchronous body:\n job %q\nsync %q", j.Result, syncBody)
+			}
+		})
 	}
-	code, v := submitJob(t, ts.Client(), ts.URL, "simulate", simulateReq)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
+}
+
+// A synchronous simulation is not a job attempt: even on a server with a
+// jobs directory and a checkpoint every event, it writes no checkpoint
+// file and publishes no progress. A synchronous run taken for an attempt
+// would run under its cache key, so the test watches the feed of a job
+// with that id (a quick estimate job, which saves no checkpoints).
+func TestSyncSimulateIsNoJobAttempt(t *testing.T) {
+	dir := t.TempDir()
+	// Long enough to pass the simulator's first progress poll (1024 events).
+	const req = `{"spec": ` + sampleSpec + `, "duration": 0.005, "seed": 3}`
+	s, ts := newTestServer(t, Config{JobsDir: dir, JobCheckpointEvery: 1, CacheEntries: -1})
+	waitReady(t, ts.Client(), ts.URL)
+
+	p, err := s.prepareSimulate([]byte(req))
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := pollJob(t, ts.Client(), ts.URL, v.ID)
-	if done.State != "succeeded" {
+	if _, _, err := s.jobs.Submit("estimate", p.key, []byte(estimateBody(sampleSpec))); err != nil {
+		t.Fatal(err)
+	}
+	if done := pollJob(t, ts.Client(), ts.URL, p.key); done.State != "succeeded" {
 		t.Fatalf("job failed: %+v", done)
 	}
-	if !bytes.Equal(bytes.TrimRight(done.Result, "\n"), bytes.TrimRight(syncBody, "\n")) {
-		t.Fatal("async result differs from the synchronous response")
+	sub, _, ok := s.jobs.Subscribe(p.key, 0)
+	if !ok {
+		t.Fatal("job vanished")
+	}
+	defer sub.Close()
+
+	if resp, out := post(t, ts.Client(), ts.URL+"/v1/simulate", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync simulate: %d %s", resp.StatusCode, out)
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(ckpts) != 0 {
+		t.Fatalf("synchronous simulation wrote checkpoints: %v", ckpts)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if e, ok, _ := sub.Next(ctx); ok {
+		t.Fatalf("synchronous simulation published a job event: %+v", e)
 	}
 }
 

@@ -726,7 +726,7 @@ func (q *request) eval(ctx context.Context) bool {
 			return nil, err
 		}
 		evalStart := time.Now()
-		res, err := q.p.run(ctx)
+		res, err := q.p.run(ctx, nil)
 		s.observeServiceTime(time.Since(evalStart))
 		return res, err
 	}()
@@ -739,12 +739,11 @@ func (q *request) eval(ctx context.Context) bool {
 
 // store serializes the result, caches it and replies.
 func (q *request) store() {
-	out, err := json.Marshal(q.result)
+	out, err := encodeResult(q.result)
 	if err != nil {
 		q.fail(http.StatusInternalServerError, err)
 		return
 	}
-	out = append(out, '\n')
 	// Miss accounting only applies when a cache exists to miss: a server
 	// started with caching disabled must report no cache traffic (and no
 	// 0.0 hit ratio for a cache that isn't there).
