@@ -429,36 +429,83 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 }
 
 // BenchmarkSimEngine measures the discrete-event simulator's raw event
-// throughput on a three-stage pipeline.
+// throughput. pipeline is a three-stage pipeline with no shared links;
+// linkbound is the lognic-storm shape rx → cores → accel → tx on the
+// LiquidIO-2-class part (8 cores, 512 B packets) with ingress at 0.9× the
+// interface: every byte crosses the interface twice, so it carries 1.8×
+// its bandwidth and its backlog of in-flight transfers grows all run.
+// Both report ns/event and the peak number of pending events.
 func BenchmarkSimEngine(b *testing.B) {
-	g, err := core.NewBuilder("perf").
-		AddIngress("in").
-		AddIP("a", 4e9, 4, 64).
-		AddIP("c", 4e9, 4, 64).
-		AddEgress("out").
-		Connect("in", "a", 1).
-		Connect("a", "c", 1).
-		Connect("c", "out", 1).
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var packets int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
-			Graph:    g,
-			Profile:  traffic.Fixed("mtu", unit.Bandwidth(3e9), 1500),
-			Seed:     int64(i + 1),
-			Duration: 0.02,
-		})
+	b.Run("pipeline", func(b *testing.B) {
+		g, err := core.NewBuilder("perf").
+			AddIngress("in").
+			AddIP("a", 4e9, 4, 64).
+			AddIP("c", 4e9, 4, 64).
+			AddEgress("out").
+			Connect("in", "a", 1).
+			Connect("a", "c", 1).
+			Connect("c", "out", 1).
+			Build()
 		if err != nil {
 			b.Fatal(err)
 		}
-		packets = res.DeliveredPackets
+		benchEngine(b, sim.Config{
+			Graph:    g,
+			Profile:  traffic.Fixed("mtu", unit.Bandwidth(3e9), 1500),
+			Duration: 0.02,
+		})
+	})
+	b.Run("linkbound", func(b *testing.B) {
+		const intf = 50e9 / 8 // interface bytes/s
+		g, err := core.NewBuilder("storm-lio2").
+			AddIngress("rx").
+			AddVertex(core.Vertex{Name: "cores", Kind: core.KindIP, Throughput: 10e9 / 8,
+				Parallelism: 8, QueueCapacity: 64, Overhead: 3e-7}).
+			AddVertex(core.Vertex{Name: "accel", Kind: core.KindIP, Throughput: 40e9 / 8,
+				Parallelism: 2, QueueCapacity: 128}).
+			AddEgress("tx").
+			AddEdge(core.Edge{From: "rx", To: "cores", Delta: 1, Alpha: 1}).
+			AddEdge(core.Edge{From: "cores", To: "accel", Delta: 1, Alpha: 1, Beta: 1}).
+			AddEdge(core.Edge{From: "accel", To: "tx", Delta: 1}).
+			Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchEngine(b, sim.Config{
+			Graph:    g,
+			Hardware: core.Hardware{InterfaceBW: intf, MemoryBW: 160e9},
+			Profile:  traffic.Fixed("storm", unit.Bandwidth(0.9*intf), 512),
+			Duration: 0.002,
+		})
+	})
+}
+
+// benchEngine runs cfg b.N times, one seed per run, and reports
+// delivered packets per second, ns per event and the peak number of
+// pending events.
+func benchEngine(b *testing.B, cfg sim.Config) {
+	b.Helper()
+	var packets, peak int
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		s, err := sim.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		packets += res.DeliveredPackets
+		events += s.Events()
+		peak = max(peak, s.PeakPending())
 	}
-	b.ReportMetric(float64(packets)/b.Elapsed().Seconds()*float64(b.N), "pkts/s")
+	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(peak), "peak-pending")
 }
 
 // BenchmarkMesh64 runs the 64-tenant microservice mesh (sim.MeshConfig,

@@ -722,7 +722,7 @@ func (q *request) eval(ctx context.Context) bool {
 		if s.testDelay != nil {
 			s.testDelay(q.endpoint)
 		}
-		if err := ctx.Err(); err != nil {
+		if err := expired(ctx); err != nil {
 			return nil, err
 		}
 		evalStart := time.Now()
@@ -735,6 +735,19 @@ func (q *request) eval(ctx context.Context) bool {
 	}
 	q.result = result
 	return false
+}
+
+// expired is ctx.Err, except that a context whose deadline has passed
+// counts as expired even before its timer fires: a request that waited
+// out its deadline must not start an evaluation on a timer race.
+func expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // store serializes the result, caches it and replies.

@@ -2,10 +2,11 @@ package sim
 
 // Checkpoint/resume for long simulations (ISSUE 6 tentpole). A Checkpoint
 // is a complete, serializable snapshot of a run taken between two events:
-// the event heap (in array order, so the restored heap has the identical
-// shape), every in-flight packet, per-vertex queue contents and windowed
-// statistics, shared-link occupancy, the measurement accumulators, and —
-// the subtle part — the positions of both RNG streams.
+// every pending event in (time, seq) order (a sorted array is a valid
+// heap, so Resume loads it as is), every in-flight packet, per-vertex
+// queue contents and windowed statistics, shared-link occupancy, the
+// measurement accumulators, and — the subtle part — the positions of both
+// RNG streams.
 //
 // math/rand exposes no way to serialize generator state, so the simulator
 // counts instead: the engine RNG runs on a countingSource that tallies
@@ -270,12 +271,14 @@ func (s *Simulator) snapshot() *Checkpoint {
 		return i
 	}
 
-	// Events in heap-array (key) order, so Resume rebuilds the same shape.
-	ck.Events = make([]EventState, s.events.len())
-	for i, k := range s.events.keys {
+	// Events, heap and lanes together, in (time, seq) order: a sorted
+	// array is a valid heap, so Resume loads it as is.
+	keys := s.events.pending()
+	ck.Events = make([]EventState, len(keys))
+	for i, k := range keys {
 		e := &s.events.slab[k.slot]
 		es := EventState{
-			Time: e.time, Seq: e.seq, Pkt: register(e.pkt),
+			Time: k.time, Seq: k.seq, Pkt: register(e.pkt),
 			Node: e.node.name(), From: e.from.name(), A: e.a, B: e.b, Flow: e.flow,
 			Idx: e.idx, Kind: uint8(e.kind),
 		}
@@ -476,9 +479,10 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 		l.busyAtWin = ls.BusyAtWin
 	}
 
-	// Event heap, restored in array order: the serialized slice was a
-	// valid heap, and an identical array replays the identical pop
-	// sequence (the (time, seq) order is total either way).
+	// Event heap, restored in array order: the serialized slice is sorted
+	// (or, from before lanes, a heap array), so it is a valid heap, and
+	// the (time, seq) order is total, so it replays the identical pop
+	// sequence.
 	vertex := func(i int, name string) (*node, error) {
 		if name == "" {
 			return nil, nil
@@ -489,13 +493,12 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 		}
 		return n, nil
 	}
+	keys := make([]eventKey, len(ck.Events))
 	evs := make([]event, len(ck.Events))
 	for i, es := range ck.Events {
+		keys[i] = eventKey{time: es.Time, seq: es.Seq, slot: int32(i)}
 		e := &evs[i]
-		*e = event{
-			time: es.Time, seq: es.Seq,
-			a: es.A, b: es.B, flow: es.Flow, idx: es.Idx, kind: eventKind(es.Kind),
-		}
+		*e = event{a: es.A, b: es.B, flow: es.Flow, idx: es.Idx, kind: eventKind(es.Kind)}
 		if e.node, err = vertex(i, es.Node); err != nil {
 			return nil, err
 		}
@@ -539,7 +542,7 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 			return nil, fmt.Errorf("sim: checkpoint event %d has unknown kind %d", i, es.Kind)
 		}
 	}
-	s.events.load(evs)
+	s.events.load(keys, evs)
 
 	s.now = ck.Now
 	s.seq = ck.Seq

@@ -9,13 +9,22 @@ package sim
 // interface dispatch (Less/Swap/Push/Pop through `any` boxing) on every
 // sift. This engine removes all three:
 //
-//   - the pending set is a 4-ary min-heap of 24-byte {time, seq, slot}
-//     keys over a payload slab: sifts compare and move keys only, and an
-//     event's payload is copied once in (push) and once out (pop). Slab
-//     slots recycle through a free list, so the slab never grows past the
-//     peak number of pending events. The 4-ary shape has shallower sift
-//     paths than a binary heap (log₄ vs log₂ levels), and a node's four
-//     children share cache lines;
+//   - the pending set is a 4-ary min-heap of 24-byte {time, seq, slot,
+//     lane} keys over a payload slab: sifts compare and move keys only,
+//     an event's payload is written once, straight into its slot, and
+//     dispatched where it lies, and the slot is freed after dispatch
+//     returns. Slab slots recycle through a free list, so the slab never
+//     grows past the peak number of pending events. The 4-ary shape has
+//     shallower sift paths than a binary heap (log₄ vs log₂ levels), and
+//     a node's four children share cache lines;
+//   - beside the heap sits one lane per transmission resource (interface,
+//     memory, each dedicated link): a FIFO of keys of which only the front
+//     is in the heap. A FIFO link books each transfer after the last, so
+//     the arrivals whose last hop is one link complete in (time, seq)
+//     order; a saturated link's backlog then waits in its lane instead of
+//     inflating every heap operation. A lane accepts an event only if it
+//     does not sort before the lane's tail, and anything else goes to the
+//     heap, so lanes never change the dequeue order;
 //   - the event's action is a small kind tag plus typed operands
 //     dispatched through one switch, replacing per-event closures;
 //   - packet records recycle through a free list (sim.go), and per-vertex
@@ -25,11 +34,14 @@ package sim
 // With observability off (Config.Spans nil) the steady-state loop
 // allocates nothing per event; TestSteadyStateAllocFree pins that.
 //
-// Determinism contract: the heap orders events by (time, seq) where seq is
-// the strictly increasing schedule counter, exactly the total order the
-// seed engine used — ties cannot exist, so any heap shape dequeues the
-// identical sequence and results stay byte-identical (enforced by the
-// golden-digest suite and FuzzEventQueue's container/heap oracle).
+// Determinism contract: the queue orders events by (time, seq) where seq
+// is the strictly increasing schedule counter, exactly the total order the
+// seed engine used — ties cannot exist, so any heap shape or lane split
+// dequeues the identical sequence and results stay byte-identical
+// (enforced by the golden-digest suite and FuzzEventQueue's container/heap
+// oracle).
+
+import "slices"
 
 // eventKind discriminates the scheduled actions.
 type eventKind uint8
@@ -53,8 +65,9 @@ const (
 	evWarmup
 )
 
-// event is one scheduled action, stored by value in the queue's payload
-// slab. The operand fields are kind-specific:
+// event is one scheduled action's payload, stored by value in the queue's
+// slab; its fire time and sequence number live in its key. The operand
+// fields are kind-specific:
 //
 //	evArrival:      a = packet size, flow = flow id (time is the arrival)
 //	evArriveAt:     node = destination, from = upstream vertex (nil for a
@@ -65,8 +78,6 @@ const (
 //	evStallRecover: node = stalled vertex, idx = originating fault
 //	evWarmup:       no operands
 type event struct {
-	time float64
-	seq  uint64
 	node *node
 	from *node
 	pkt  *packet
@@ -76,13 +87,14 @@ type event struct {
 	kind eventKind
 }
 
-// eventKey is one heap entry: the (time, seq) ordering key and the slab
-// slot holding the event's payload. Sifts move these 24-byte keys, never
-// the payload.
+// eventKey is one heap entry: the (time, seq) ordering key, the slab slot
+// holding the event's payload, and the lane (1-based, 0 for none) whose
+// front the event is. Sifts move these 24-byte keys, never the payload.
 type eventKey struct {
 	time float64
 	seq  uint64
 	slot int32
+	lane int32
 }
 
 // before is the scheduling order: time, then schedule sequence. seq is
@@ -94,36 +106,72 @@ func (k *eventKey) before(o *eventKey) bool {
 	return k.seq < o.seq
 }
 
-// eventQueue is a 4-ary min-heap of event keys over a payload slab.
-// Children of key i live at 4i+1..4i+4; keys[0] is the next event to
-// fire. A slab slot is taken from the free list on push and returned on
-// pop, so the slab never grows past the peak number of pending events.
+// lane is a FIFO of pending events already in (time, seq) order, held
+// beside the heap: only its front has a key in the heap, so a backed-up
+// link costs the heap one key instead of one per queued transfer. The
+// ring holds the keys in order; its length is a power of two.
+type lane struct {
+	ring []eventKey
+	head int
+	n    int
+}
+
+// eventQueue is a 4-ary min-heap of event keys over a payload slab, plus
+// one lane per transmission resource. Children of key i live at
+// 4i+1..4i+4; keys[0] is the next event to fire. A slab slot is taken
+// from the free list on push and returned on release, so the slab never
+// grows past the peak number of pending events.
 type eventQueue struct {
-	keys []eventKey
-	slab []event
-	free []int32
+	keys  []eventKey
+	slab  []event
+	free  []int32
+	lanes []lane
 }
 
-// newEventQueue preallocates room for n pending events.
-func newEventQueue(n int) eventQueue {
-	return eventQueue{keys: make([]eventKey, 0, n), slab: make([]event, 0, n)}
+// newEventQueue preallocates room for n pending events and sets up the
+// given number of lanes, numbered 1..lanes.
+func newEventQueue(n, lanes int) eventQueue {
+	return eventQueue{
+		keys:  make([]eventKey, 0, n),
+		slab:  make([]event, 0, n),
+		lanes: make([]lane, lanes),
+	}
 }
 
-func (q *eventQueue) len() int { return len(q.keys) }
+// empty reports whether no event is pending. Every non-empty lane has its
+// front in the heap, so an empty heap means empty lanes.
+func (q *eventQueue) empty() bool { return len(q.keys) == 0 }
 
-// push stores the event in a free slab slot and inserts its key, sifting
-// the hole up instead of swapping so each level costs one key copy.
-func (q *eventQueue) push(e *event) {
+// push queues an event firing at (t, seq) and returns its payload slot
+// for the caller to overwrite whole; the pointer is valid until the next
+// push. An event for lane ln (0 for none) joins that lane if it does not
+// sort before the lane's tail; otherwise, and for ln 0, its key goes into
+// the heap. The guard keeps every lane sorted whatever its producer does,
+// so the dequeue order never depends on a link's transfers completing in
+// order.
+func (q *eventQueue) push(t float64, seq uint64, ln int32) *event {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.slab[slot] = *e
 	} else {
 		slot = int32(len(q.slab))
-		q.slab = append(q.slab, *e)
+		q.slab = append(q.slab, event{})
 	}
-	k := eventKey{time: e.time, seq: e.seq, slot: slot}
+	k := eventKey{time: t, seq: seq, slot: slot}
+	if ln > 0 {
+		l := &q.lanes[ln-1]
+		if l.n == 0 || !k.before(&l.ring[(l.head+l.n-1)&(len(l.ring)-1)]) {
+			k.lane = ln
+			l.append(k)
+			if l.n > 1 {
+				// Only the lane's front has a key in the heap.
+				return &q.slab[slot]
+			}
+		}
+	}
+	// Sift the hole up instead of swapping, so each level costs one key
+	// copy.
 	q.keys = append(q.keys, k)
 	i := len(q.keys) - 1
 	for i > 0 {
@@ -135,21 +183,49 @@ func (q *eventQueue) push(e *event) {
 		i = p
 	}
 	q.keys[i] = k
+	return &q.slab[slot]
 }
 
-// pop removes the minimum event and writes it to out. The vacated slab
-// slot is zeroed so packet/node pointers don't outlive their events.
-func (q *eventQueue) pop(out *event) {
-	slot := q.keys[0].slot
-	*out = q.slab[slot]
-	q.slab[slot] = event{}
-	q.free = append(q.free, slot)
+// append adds a key at the lane's tail, doubling the ring when full.
+func (l *lane) append(k eventKey) {
+	if l.n == len(l.ring) {
+		ring := make([]eventKey, max(8, 2*len(l.ring)))
+		for i := 0; i < l.n; i++ {
+			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = k
+	l.n++
+}
+
+// pop removes the minimum event's key and returns it. Its slab slot
+// stays taken until release, so the caller can dispatch the event where
+// it lies. When the minimum is a lane's front, the lane's next key
+// replaces the root with one sift-down.
+func (q *eventQueue) pop() eventKey {
+	top := q.keys[0]
+	if top.lane > 0 {
+		l := &q.lanes[top.lane-1]
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+		if l.n > 0 {
+			q.siftDown(l.ring[l.head])
+			return top
+		}
+	}
 	n := len(q.keys) - 1
 	last := q.keys[n]
 	q.keys = q.keys[:n]
-	if n == 0 {
-		return
+	if n > 0 {
+		q.siftDown(last)
 	}
+	return top
+}
+
+// siftDown places k at the root's hole and moves it down to its place.
+func (q *eventQueue) siftDown(k eventKey) {
+	n := len(q.keys)
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -166,35 +242,74 @@ func (q *eventQueue) pop(out *event) {
 				m = j
 			}
 		}
-		if !q.keys[m].before(&last) {
+		if !q.keys[m].before(&k) {
 			break
 		}
 		q.keys[i] = q.keys[m]
 		i = m
 	}
-	q.keys[i] = last
+	q.keys[i] = k
 }
 
-// load replaces the queue's contents with events listed in key order, as
-// a checkpoint records them: event i takes slab slot i and key position
-// i, so the restored heap has the identical shape.
-func (q *eventQueue) load(evs []event) {
+// release frees a popped event's slab slot. The slot is not zeroed: every
+// schedule overwrites the whole payload, and the stale pointers it keeps
+// name nodes and recycled packets that live as long as the simulator, so
+// zeroing would only pay GC write barriers for nothing.
+func (q *eventQueue) release(slot int32) {
+	q.free = append(q.free, slot)
+}
+
+// pending returns every pending event's key, heap and lanes together, in
+// (time, seq) order — the order a checkpoint records them in.
+func (q *eventQueue) pending() []eventKey {
+	keys := append([]eventKey(nil), q.keys...)
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		// The front is in the heap already.
+		for j := 1; j < l.n; j++ {
+			keys = append(keys, l.ring[(l.head+j)&(len(l.ring)-1)])
+		}
+	}
+	slices.SortFunc(keys, func(a, b eventKey) int {
+		if a.before(&b) {
+			return -1
+		}
+		return 1
+	})
+	return keys
+}
+
+// load replaces the queue's contents with keys listed in heap order and
+// their payloads, as a checkpoint records them: keys[i] names slab slot i.
+// A checkpoint lists events sorted, and a sorted array is a valid heap
+// (checkpoints from before lanes list a heap array, also valid); every
+// lane starts empty.
+func (q *eventQueue) load(keys []eventKey, evs []event) {
+	q.keys = keys
 	q.slab = evs
 	q.free = q.free[:0]
-	q.keys = make([]eventKey, len(evs))
-	for i := range evs {
-		q.keys[i] = eventKey{time: evs[i].time, seq: evs[i].seq, slot: int32(i)}
+	for i := range q.lanes {
+		q.lanes[i] = lane{}
 	}
 }
 
-// schedule stamps the event with the fire time and the next sequence
-// number and inserts it. The sequence counter is the determinism anchor:
+// Events is the number of events the run has executed; a resumed
+// simulator continues the interrupted run's count.
+func (s *Simulator) Events() uint64 { return s.processed }
+
+// PeakPending is the most events the queue has held at once since New or
+// Resume, heap and lanes together, counting the one being dispatched:
+// the payload slab grows only past that peak.
+func (s *Simulator) PeakPending() int { return len(s.events.slab) }
+
+// schedule queues an event at time t, offered to lane ln (0 for none),
+// stamped with the next sequence number, and returns its payload slot,
+// which the caller overwrites whole at once (`*s.schedule(t, ln) =
+// event{...}`). The sequence counter is the determinism anchor:
 // equal-time events fire in schedule order, exactly like the seed engine.
-func (s *Simulator) schedule(t float64, e event) {
+func (s *Simulator) schedule(t float64, ln int32) *event {
 	s.seq++
-	e.time = t
-	e.seq = s.seq
-	s.events.push(&e)
+	return s.events.push(t, s.seq, ln)
 }
 
 // dispatch executes one popped event. s.now has already been advanced to

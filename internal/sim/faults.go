@@ -195,7 +195,7 @@ func (s *Simulator) FaultStats() FaultStats {
 // into the event queue.
 func (s *Simulator) scheduleFaults() {
 	for i := range s.cfg.Faults {
-		s.schedule(s.cfg.Faults[i].Time, event{kind: evFault, idx: int32(i)})
+		*s.schedule(s.cfg.Faults[i].Time, 0) = event{kind: evFault, idx: int32(i)}
 	}
 }
 
@@ -237,7 +237,7 @@ func (s *Simulator) applyFault(f Fault, idx int32) {
 		s.faults.LinkDegradeEvents++
 		s.traceFault(TraceFaultInject, f.Link)
 		if f.Duration > 0 {
-			s.schedule(s.now+f.Duration, event{kind: evLinkRestore, idx: idx})
+			*s.schedule(s.now+f.Duration, 0) = event{kind: evLinkRestore, idx: idx}
 		}
 	case VertexStall:
 		n := s.nodes[f.Vertex]
@@ -247,7 +247,7 @@ func (s *Simulator) applyFault(f Fault, idx int32) {
 		}
 		s.faults.VertexStallEvents++
 		s.traceFault(TraceFaultInject, f.Vertex)
-		s.schedule(until, event{kind: evStallRecover, node: n, idx: idx})
+		*s.schedule(until, 0) = event{kind: evStallRecover, node: n, idx: idx}
 	}
 }
 

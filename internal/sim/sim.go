@@ -324,6 +324,9 @@ type link struct {
 	// windowing timeWeighted.average applies to vertex statistics.
 	winStart  float64
 	busyAtWin float64
+	// lane is the event-queue lane (1-based) of the arrivals whose last
+	// hop is this link: they complete in booking order (events.go).
+	lane int32
 }
 
 func newLink(bandwidth float64) *link {
@@ -632,7 +635,11 @@ func New(cfg Config) (*Simulator, error) {
 	// Preallocate the event queue: pending events at any instant are
 	// bounded by in-flight work (one per busy engine, transfer, retry and
 	// scheduled fault), which starts well under this and grows amortized.
-	s.events = newEventQueue(256 + len(cfg.Faults))
+	// Each link gets a lane, numbered in name order.
+	for i, name := range sortedKeys(s.links) {
+		s.links[name].lane = int32(i + 1)
+	}
+	s.events = newEventQueue(256+len(cfg.Faults), len(s.links))
 
 	// Ingress selection probabilities: share of path weight starting at
 	// each ingress.
@@ -700,12 +707,12 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		s.gen = gen
 		// Seed the arrival pump, then the fault schedule.
 		first := gen.Next()
-		s.schedule(first.Time, event{kind: evArrival, a: first.Size, flow: first.Flow})
+		*s.schedule(first.Time, 0) = event{kind: evArrival, a: first.Size, flow: first.Flow}
 		s.scheduleFaults()
 		// Restart every utilization window at the warmup cutoff, so link and
 		// vertex statistics cover the same measurement window as throughput
 		// and latency instead of averaging over the absolute elapsed time.
-		s.schedule(s.warmEnd, event{kind: evWarmup})
+		*s.schedule(s.warmEnd, 0) = event{kind: evWarmup}
 	}
 	// A resumed simulator skips the seeding above: its heap (pending
 	// arrival pump, fault schedule, warmup rebase included), generator
@@ -714,8 +721,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	// MaxEvents budget spans the whole logical run.
 
 	var stalled int
-	var e event
-	for s.events.len() > 0 {
+	for !s.events.empty() {
 		if s.processed%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("sim: run aborted at t=%v after %d events: %w", s.now, s.processed, err)
@@ -738,17 +744,20 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				return Result{}, fmt.Errorf("sim: checkpoint sink at t=%v: %w", s.now, err)
 			}
 		}
-		s.events.pop(&e)
-		if e.time > s.cfg.Duration {
+		// The event is dispatched in its slab slot, which stays taken until
+		// dispatch returns; pushes during dispatch take other slots.
+		k := s.events.pop()
+		if k.time > s.cfg.Duration {
 			break
 		}
-		if e.time > s.now {
+		if k.time > s.now {
 			stalled = 0
 		} else if stalled++; stalled > stallWindow {
 			return Result{}, fmt.Errorf("%w: %d events at t=%v", ErrStalled, stalled, s.now)
 		}
-		s.now = e.time
-		s.dispatch(&e)
+		s.now = k.time
+		s.dispatch(&s.events.slab[k.slot])
+		s.events.release(k.slot)
 		s.processed++
 	}
 	s.now = s.cfg.Duration
@@ -805,7 +814,7 @@ func (s *Simulator) arrivalPump(size float64, flow uint64) {
 
 	next := s.gen.Next()
 	if next.Time <= s.cfg.Duration {
-		s.schedule(next.Time, event{kind: evArrival, a: next.Size, flow: next.Flow})
+		*s.schedule(next.Time, 0) = event{kind: evArrival, a: next.Size, flow: next.Flow}
 	}
 }
 
@@ -863,7 +872,7 @@ func (s *Simulator) arriveAt(n *node, from *node, p *packet) {
 					exp = 30
 				}
 				backoff := rp.Backoff * math.Pow(2, float64(exp))
-				s.schedule(s.now+backoff, event{kind: evArriveAt, node: n, from: from, pkt: p})
+				*s.schedule(s.now+backoff, 0) = event{kind: evArriveAt, node: n, from: from, pkt: p}
 				return
 			}
 			s.faults.RetryDrops++
@@ -916,7 +925,7 @@ func (s *Simulator) startService(n *node, p *packet, wait float64) {
 	if svc < 0 {
 		svc = 0
 	}
-	s.schedule(s.now+svc, event{kind: evServiceDone, node: n, pkt: p, a: wait, b: svcStart})
+	*s.schedule(s.now+svc, 0) = event{kind: evServiceDone, node: n, pkt: p, a: wait, b: svcStart}
 }
 
 // serviceDone completes one engine's service: book the stats, route the
@@ -951,19 +960,21 @@ func (s *Simulator) depart(n *node, p *packet) {
 	s.spanVertex(n, p, visitDepart)
 	rc := s.pickRoute(n, p)
 	t := s.now + rc.overhead
+	// The arrival joins the lane of the last link that set t.
+	var ln int32
 	if s.intf != nil && rc.intfPerByte > 0 {
-		t = s.intf.transfer(t, p.size*rc.intfPerByte)
+		t, ln = s.intf.transfer(t, p.size*rc.intfPerByte), s.intf.lane
 	}
 	if s.mem != nil && rc.memPerByte > 0 {
-		t = s.mem.transfer(t, p.size*rc.memPerByte)
+		t, ln = s.mem.transfer(t, p.size*rc.memPerByte), s.mem.lane
 	}
 	if rc.dedicated != nil && rc.dedPerByte > 0 {
-		t = rc.dedicated.transfer(t, p.size*rc.dedPerByte)
+		t, ln = rc.dedicated.transfer(t, p.size*rc.dedPerByte), rc.dedicated.lane
 	}
 	if t > s.now {
 		s.span(rc.span, obs.CatTransfer, p, s.now, t-s.now, nil)
 	}
-	s.schedule(t, event{kind: evArriveAt, node: rc.toNode, from: n, pkt: p})
+	*s.schedule(t, ln) = event{kind: evArriveAt, node: rc.toNode, from: n, pkt: p}
 }
 
 // pickRoute chooses the outgoing edge per the vertex's routing policy.
