@@ -6,12 +6,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lognic/internal/obs"
 )
 
 // --- journal ---
@@ -387,8 +390,8 @@ func TestDegradedModeKeepsServing(t *testing.T) {
 	if !m.Degraded() {
 		t.Fatal("manager not degraded after journal failure")
 	}
-	if m.degradedG.Value() != 1 {
-		t.Fatal("lognic_jobs_degraded gauge not raised")
+	if got := seriesValue(m.cfg.Registry, "lognic_jobs_degraded", nil); got != 1 {
+		t.Fatalf("lognic_jobs_degraded gauge = %v, want 1", got)
 	}
 	// Still accepting work.
 	m.Submit("estimate", "eeee5555", nil)
@@ -600,4 +603,58 @@ func TestJobsListingOrder(t *testing.T) {
 			t.Fatal("jobs not newest-first")
 		}
 	}
+}
+
+// The lognic_jobs_state gauges read the job table when scraped: they
+// follow jobs into running and out to succeeded, and a manager rebuilt
+// from the journal reports the replayed states before any job runs.
+func TestStateGaugesReadJobTable(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	m := newTestManager(t, dir, func(ctx context.Context, id, kind string, body []byte, ck CheckpointStore) ([]byte, error) {
+		<-release
+		return []byte("ok"), nil
+	})
+	state := func(m *Manager, st State) float64 {
+		return seriesValue(m.cfg.Registry, "lognic_jobs_state", obs.Labels{"state": string(st)})
+	}
+	for _, id := range []string{"aaaa1111", "bbbb2222"} {
+		if _, _, err := m.Submit("estimate", id, nil); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, id, StateRunning)
+	}
+	if state(m, StateRunning) != 2 || state(m, StateQueued) != 0 || state(m, StateSucceeded) != 0 {
+		t.Fatalf("state gauges running/queued/succeeded = %v/%v/%v, want 2/0/0",
+			state(m, StateRunning), state(m, StateQueued), state(m, StateSucceeded))
+	}
+	close(release)
+	waitState(t, m, "aaaa1111", StateSucceeded)
+	waitState(t, m, "bbbb2222", StateSucceeded)
+	if state(m, StateRunning) != 0 || state(m, StateSucceeded) != 2 {
+		t.Fatalf("state gauges running/succeeded = %v/%v after release, want 0/2",
+			state(m, StateRunning), state(m, StateSucceeded))
+	}
+	m.Close()
+
+	m2 := newTestManager(t, dir, func(context.Context, string, string, []byte, CheckpointStore) ([]byte, error) {
+		return nil, errors.New("replayed jobs must not run")
+	})
+	if got := state(m2, StateSucceeded); got != 2 {
+		t.Fatalf("replayed manager reports %v succeeded jobs, want 2", got)
+	}
+	if got := seriesValue(m2.cfg.Registry, "lognic_jobs_degraded", nil); got != 0 {
+		t.Fatalf("lognic_jobs_degraded = %v on a healthy manager, want 0", got)
+	}
+}
+
+// seriesValue reads one series from a registry's exposition (-1 when
+// absent).
+func seriesValue(reg *obs.Registry, name string, labels obs.Labels) float64 {
+	for _, snap := range reg.Gather() {
+		if snap.Name == name && maps.Equal(snap.Labels, labels) {
+			return snap.Value
+		}
+	}
+	return -1
 }

@@ -160,9 +160,8 @@ type Manager struct {
 	closeStop context.CancelFunc
 	wg        sync.WaitGroup
 
-	// metrics
-	stateG    map[State]*obs.Gauge
-	degradedG *obs.Gauge
+	// metrics; lognic_jobs_state and lognic_jobs_degraded are read from
+	// jobs and degraded at scrape time.
 	submitted *obs.Counter
 	coalesced *obs.Counter
 	retries   *obs.Counter
@@ -195,13 +194,17 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.closeCtx, m.closeStop = context.WithCancel(context.Background())
 
 	reg := cfg.Registry
-	m.stateG = make(map[State]*obs.Gauge, len(states))
 	for _, st := range states {
-		m.stateG[st] = reg.Gauge("lognic_jobs_state", "jobs by lifecycle state",
-			obs.Labels{"state": string(st)})
+		reg.GaugeFunc("lognic_jobs_state", "jobs by lifecycle state",
+			obs.Labels{"state": string(st)}, func() float64 { return float64(m.countState(st)) })
 	}
-	m.degradedG = reg.Gauge("lognic_jobs_degraded",
-		"1 when a durability failure forced memory-only operation", nil)
+	reg.GaugeFunc("lognic_jobs_degraded",
+		"1 when a durability failure forced memory-only operation", nil, func() float64 {
+			if m.Degraded() {
+				return 1
+			}
+			return 0
+		})
 	m.submitted = reg.Counter("lognic_jobs_submitted_total", "job submissions accepted", nil)
 	m.coalesced = reg.Counter("lognic_jobs_coalesced_total",
 		"submissions folded into an existing job by canonical-hash identity", nil)
@@ -270,7 +273,6 @@ func (m *Manager) replayLocked(records [][]byte) {
 	}
 	// Deterministic re-enqueue order (map iteration is not).
 	sort.Strings(m.pending)
-	m.refreshStateGauges()
 }
 
 // commitLocked stamps a record with the current time, journals it and
@@ -349,7 +351,6 @@ func (m *Manager) degradeLocked(err error) {
 		return
 	}
 	m.degraded = true
-	m.degradedG.Set(1)
 	if m.journal != nil {
 		m.journal.Close()
 		m.journal = nil
@@ -426,7 +427,6 @@ func (m *Manager) SubmitTrace(kind, id string, body []byte, traceparent string) 
 	m.submitted.Inc()
 	j := m.commitLocked(record{Type: "submit", ID: id, Kind: kind, Body: body, Trace: traceparent})
 	m.enqueueLocked(id)
-	m.refreshStateGauges()
 	m.jobLogger(j).Info("job submitted", "kind", kind, "state", StateQueued)
 	m.publishLocked(id, Event{Type: EventState, State: StateQueued})
 	return j.snapshot(m.cfg.MaxAttempts), true, nil
@@ -480,7 +480,6 @@ func (m *Manager) Cancel(id string) (Job, bool) {
 		m.jobLogger(j).Info("job cancelled", "state", StateCancelled)
 		m.publishLocked(id, Event{Type: EventState, State: StateCancelled, Terminal: true})
 	}
-	m.refreshStateGauges()
 	return j.snapshot(m.cfg.MaxAttempts), true
 }
 
@@ -564,7 +563,6 @@ func (m *Manager) runAttempt(id string) {
 		ctx = obs.ContextWithTrace(ctx, attemptTC)
 	}
 	m.evals.Inc()
-	m.refreshStateGauges()
 	log.Info("attempt starting", "attempt", attempt, "kind", kind)
 	m.publishLocked(id, Event{Type: EventAttempt, State: StateRunning, Attempt: attempt})
 	m.mu.Unlock()
@@ -647,7 +645,6 @@ func (m *Manager) runAttempt(id string) {
 		})
 		m.timers[tm] = struct{}{}
 	}
-	m.refreshStateGauges()
 }
 
 // emitSpanLocked hands a span to the configured tracer, if any. Spans
@@ -716,13 +713,15 @@ func (m *Manager) Close() {
 	}
 }
 
-func (m *Manager) refreshStateGauges() {
-	counts := map[State]int{}
+// countState counts the jobs whose current status is st.
+func (m *Manager) countState(st State) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
 	for _, j := range m.jobs {
-		st, _ := j.status()
-		counts[st]++
+		if s, _ := j.status(); s == st {
+			n++
+		}
 	}
-	for _, st := range states {
-		m.stateG[st].Set(float64(counts[st]))
-	}
+	return n
 }

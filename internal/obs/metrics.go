@@ -1,10 +1,11 @@
 // Package obs is the repository's observability layer: a dependency-free
-// metrics registry (counters, gauges, fixed-bucket histograms) with
-// Prometheus text-format and JSON export, a bounded packet-span tracer
-// with Chrome trace_event export (loadable in Perfetto or
-// chrome://tracing), and a bottleneck attribution report that ranks which
-// hardware component saturates first — cross-checking the analytical
-// model's Equation 4 constraints against simulator-measured utilization.
+// metrics registry (counters, gauges, fixed-bucket histograms, and
+// counters and gauges read from a func at scrape time) with Prometheus
+// text-format and JSON export, a bounded packet-span tracer with Chrome
+// trace_event export (loadable in Perfetto or chrome://tracing), and a
+// bottleneck attribution report that ranks which hardware component
+// saturates first — cross-checking the analytical model's Equation 4
+// constraints against simulator-measured utilization.
 //
 // The package deliberately imports nothing from the rest of the
 // repository, so the simulator, the experiments sweep engine, the report
@@ -70,11 +71,12 @@ type series struct {
 	mu     sync.Mutex
 	labels Labels
 	key    string
-	value  float64   // counter/gauge
-	counts []uint64  // histogram per-bucket counts (cumulative on export)
-	sum    float64   // histogram sum
-	count  uint64    // histogram observation count
-	bounds []float64 // histogram bounds (shared with family)
+	fn     func() float64 // a func series' value, read at Gather
+	value  float64        // counter/gauge
+	counts []uint64       // histogram per-bucket counts (cumulative on export)
+	sum    float64        // histogram sum
+	count  uint64         // histogram observation count
+	bounds []float64      // histogram bounds (shared with family)
 }
 
 // Registry holds metric families. The zero value is not usable; call
@@ -197,6 +199,28 @@ func (c *Counter) Value() float64 {
 	return c.s.value
 }
 
+// CounterFunc registers a counter series whose value is read from fn at
+// every Gather: for a total the owner already keeps, so it is counted
+// once and never pushed. fn must not decrease. Gather calls fn outside
+// every registry and series lock, so fn may take a lock its owner holds
+// while it updates other series. Registering again for the same name
+// and labels replaces the func.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
+	r.getSeries(name, help, TypeCounter, nil, labels).setFunc(fn)
+}
+
+// GaugeFunc is CounterFunc for a gauge: a series whose value is read
+// from fn when it is gathered, with the same locking rule.
+func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
+	r.getSeries(name, help, TypeGauge, nil, labels).setFunc(fn)
+}
+
+func (s *series) setFunc(fn func() float64) {
+	s.mu.Lock()
+	s.fn = fn
+	s.mu.Unlock()
+}
+
 // Gauge is a metric that can rise and fall.
 type Gauge struct{ s *series }
 
@@ -317,7 +341,8 @@ type BucketSnapshot struct {
 }
 
 // Gather snapshots every series, sorted by family name then label key, so
-// output is deterministic.
+// output is deterministic. A func series' value is read by calling its
+// func with no registry or series lock held.
 func (r *Registry) Gather() []Snapshot {
 	// family.series maps are only mutated by getSeries under r.mu, so the
 	// series pointers must be copied out under the same lock: a live
@@ -344,6 +369,7 @@ func (r *Registry) Gather() []Snapshot {
 		sort.Slice(fs.series, func(i, j int) bool { return fs.series[i].key < fs.series[j].key })
 		for _, s := range fs.series {
 			s.mu.Lock()
+			fn := s.fn
 			snap := Snapshot{Name: f.name, Type: f.typ.String(), Help: f.help, Labels: s.labels}
 			if f.typ == TypeHistogram {
 				snap.Sum = s.sum
@@ -357,6 +383,9 @@ func (r *Registry) Gather() []Snapshot {
 				snap.Value = s.value
 			}
 			s.mu.Unlock()
+			if fn != nil {
+				snap.Value = fn()
+			}
 			out = append(out, snap)
 		}
 	}

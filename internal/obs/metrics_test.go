@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -292,6 +293,142 @@ func TestGatherRacesRegistration(t *testing.T) {
 	if len(snaps) == 0 {
 		t.Fatal("no snapshots after concurrent registration")
 	}
+}
+
+// Func series read their owner's state at every scrape and export like
+// any counter or gauge, in both formats.
+func TestFuncSeriesExport(t *testing.T) {
+	r := NewRegistry()
+	var served, depth atomic.Int64
+	served.Store(3)
+	r.CounterFunc("served_total", "requests served", Labels{"tenant": "a"},
+		func() float64 { return float64(served.Load()) })
+	r.CounterFunc("served_total", "requests served", Labels{"tenant": "b"},
+		func() float64 { return 1 })
+	r.GaugeFunc("queue_depth", "waiting requests", nil,
+		func() float64 { return float64(depth.Load()) })
+	prom := func() string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if errs := LintExposition([]byte(b.String())); errs != nil {
+			t.Fatalf("func series fail lint: %v\n%s", errs, b.String())
+		}
+		return b.String()
+	}
+	want := `# HELP queue_depth waiting requests
+# TYPE queue_depth gauge
+queue_depth 0
+# HELP served_total requests served
+# TYPE served_total counter
+served_total{tenant="a"} 3
+served_total{tenant="b"} 1
+`
+	if got := prom(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+
+	// The next scrape sees the owner's new state; nothing was pushed.
+	served.Add(4)
+	depth.Store(2)
+	if got := prom(); !strings.Contains(got, `served_total{tenant="a"} 7`) || !strings.Contains(got, "queue_depth 2") {
+		t.Fatalf("scrape did not re-read the funcs:\n%s", got)
+	}
+	var b strings.Builder
+	if err := r.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var snaps []Snapshot
+	if err := json.Unmarshal([]byte(b.String()), &snaps); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 3 ||
+		snaps[0].Name != "queue_depth" || snaps[0].Type != "gauge" || snaps[0].Value != 2 ||
+		snaps[1].Name != "served_total" || snaps[1].Type != "counter" || snaps[1].Labels["tenant"] != "a" || snaps[1].Value != 7 {
+		t.Fatalf("JSON snapshots = %+v", snaps)
+	}
+
+	// Registering again replaces the func; a type clash still panics.
+	r.GaugeFunc("queue_depth", "waiting requests", nil, func() float64 { return 9 })
+	if got := prom(); !strings.Contains(got, "queue_depth 9") {
+		t.Fatalf("re-registered func not used:\n%s", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a gauge func over a counter must panic")
+		}
+	}()
+	r.GaugeFunc("served_total", "", nil, func() float64 { return 0 })
+}
+
+// A func may take a lock its owner holds while it updates other series
+// or registers new ones. Gather calls funcs with no registry or series
+// lock held, so scraping while the owner works cannot deadlock; under
+// -race this also checks that funcs and series are read safely.
+func TestFuncSeriesScrapeUnderOwnerLock(t *testing.T) {
+	r := NewRegistry()
+	var owner struct {
+		sync.Mutex
+		n int
+	}
+	r.GaugeFunc("owner_items", "items the owner holds", nil, func() float64 {
+		owner.Lock()
+		defer owner.Unlock()
+		return float64(owner.n)
+	})
+	r.CounterFunc("owner_items_added_total", "items the owner added", nil, func() float64 {
+		owner.Lock()
+		defer owner.Unlock()
+		return float64(owner.n)
+	})
+	pushed := r.Counter("owner_pushes_total", "", nil)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var updates atomic.Int64
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				owner.Lock()
+				owner.n++
+				pushed.Inc()
+				r.Gauge("owner_shard", "", Labels{"shard": fmt.Sprint(w, i%8)}).Set(float64(i))
+				owner.Unlock()
+				updates.Add(1)
+			}
+		}(w)
+	}
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		var last float64
+		for updates.Load() < 2000 {
+			for _, s := range r.Gather() {
+				if s.Name == "owner_items_added_total" {
+					if s.Value < last {
+						t.Errorf("func counter went backwards: %v after %v", s.Value, last)
+					}
+					last = s.Value
+				}
+			}
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("scrape deadlocked against the owner's lock")
+	}
+	close(done)
+	wg.Wait()
 }
 
 // TestHistogramBucketValueMismatchPanics re-registers a histogram with the

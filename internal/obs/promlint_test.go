@@ -17,6 +17,8 @@ func fullRegistry() *Registry {
 	for _, v := range []float64{0.0001, 0.001, 0.01, 0.1, 1, 10} {
 		h.Observe(v)
 	}
+	reg.CounterFunc("lognic_served_total", "requests served, read at scrape time", Labels{"tenant": "a"}, func() float64 { return 5 })
+	reg.GaugeFunc("lognic_inflight", "evaluations running, read at scrape time", nil, func() float64 { return 2 })
 	RegisterBuildInfo(reg)
 	return reg
 }

@@ -160,13 +160,14 @@ func TestL1FastPathAndCanonicalFallthrough(t *testing.T) {
 		t.Fatalf("cold request: status %d cache %q", respA.StatusCode, respA.Header.Get("X-Cache"))
 	}
 
-	l1Before := s.l1Hits.Value()
+	l1Hits := func() float64 { return metric(t, s, "lognic_serve_cache_l1_hits_total") }
+	l1Before := l1Hits()
 	resp, body := post(t, ts.Client(), ts.URL+"/v1/estimate", bodyA)
 	if resp.Header.Get("X-Cache") != "hit" {
 		t.Fatal("byte-identical repeat should hit")
 	}
-	if s.l1Hits.Value() != l1Before+1 {
-		t.Fatalf("exact repeat should hit the L1 index: %v -> %v", l1Before, s.l1Hits.Value())
+	if l1Hits() != l1Before+1 {
+		t.Fatalf("exact repeat should hit the L1 index: %v -> %v", l1Before, l1Hits())
 	}
 	if string(body) != string(coldBody) {
 		t.Fatal("L1 hit bytes differ from cold response")
@@ -179,14 +180,14 @@ func TestL1FastPathAndCanonicalFallthrough(t *testing.T) {
 	if resp.Header.Get("X-Cache") != "hit" {
 		t.Fatal("semantically equal request should hit the canonical tier")
 	}
-	if s.l1Hits.Value() != l1Before+1 {
+	if l1Hits() != l1Before+1 {
 		t.Fatal("reshaped body must not be an L1 hit on first sight")
 	}
 	if string(body) != string(coldBody) {
 		t.Fatal("canonical hit bytes differ from cold response")
 	}
 	resp, _ = post(t, ts.Client(), ts.URL+"/v1/estimate", bodyB)
-	if resp.Header.Get("X-Cache") != "hit" || s.l1Hits.Value() != l1Before+2 {
-		t.Fatalf("repeat of the reshaped body should now hit the L1 (hits=%v)", s.l1Hits.Value())
+	if resp.Header.Get("X-Cache") != "hit" || l1Hits() != l1Before+2 {
+		t.Fatalf("repeat of the reshaped body should now hit the L1 (hits=%v)", l1Hits())
 	}
 }

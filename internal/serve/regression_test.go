@@ -42,8 +42,8 @@ func TestL1StalePrunedOnCanonicalMiss(t *testing.T) {
 	if after := s.tenants[defaultTenant].l1.Bytes(); after >= before {
 		t.Fatalf("L1 bytes %d did not shrink below %d after the prune", after, before)
 	}
-	if s.hits.Value() != 0 {
-		t.Fatalf("a stale L1 probe must not count as a hit (hits=%v)", s.hits.Value())
+	if hits := metric(t, s, "lognic_serve_cache_hits_total"); hits != 0 {
+		t.Fatalf("a stale L1 probe must not count as a hit (hits=%v)", hits)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestShedPathRefreshesQueueDepthGauge(t *testing.T) {
 	if code := <-results; code != http.StatusTooManyRequests {
 		t.Fatalf("fourth request status %d, want 429", code)
 	}
-	if got := s.queueLen.Value(); got != 2 {
+	if got := metric(t, s, "lognic_serve_queue_depth"); got != 2 {
 		t.Fatalf("queue gauge = %v after a shed, want 2", got)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
@@ -121,9 +121,9 @@ func TestCacheDisabledNoMissAccounting(t *testing.T) {
 			t.Fatalf("status %d cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
 		}
 	}
-	if s.misses.Value() != 0 || s.hits.Value() != 0 {
-		t.Fatalf("disabled cache counted traffic: hits=%v misses=%v",
-			s.hits.Value(), s.misses.Value())
+	hits, misses := metric(t, s, "lognic_serve_cache_hits_total"), metric(t, s, "lognic_serve_cache_misses_total")
+	if hits != 0 || misses != 0 {
+		t.Fatalf("disabled cache counted traffic: hits=%v misses=%v", hits, misses)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {

@@ -255,8 +255,7 @@ type Server struct {
 	// spillover pool for entries larger than their tenant's partition
 	// (nil unless TenantCacheSpill > 0). partitions lists every cache
 	// partition, the tenants' in name order and then the spill pool's —
-	// the order of gauge refreshes and snapshot sections (empty when
-	// caching is disabled).
+	// the order of snapshot sections (empty when caching is disabled).
 	tenants    map[string]*tenant
 	spill      *lruCache
 	partitions []*partition
@@ -294,17 +293,10 @@ type Server struct {
 
 	closeOnce sync.Once
 
-	// Server-wide series, unlabeled: the fleet view across all tenants.
-	latency    map[string]*obs.Histogram
-	hits       *obs.Counter
-	l1Hits     *obs.Counter
-	misses     *obs.Counter
-	rejected   *obs.Counter
-	entries    *obs.Gauge
-	cacheBytes *obs.Gauge
-	hitRatio   *obs.Gauge
-	inflight   *obs.Gauge
-	queueLen   *obs.Gauge
+	// latency is the request latency histogram by endpoint. Every other
+	// lognic_serve_* series but requests_total is read at scrape time
+	// (registerMetrics).
+	latency map[string]*obs.Histogram
 
 	// testDelay, when set by tests, runs inside the worker slot before the
 	// evaluation — a deterministic way to hold requests in flight for
@@ -328,16 +320,8 @@ func NewServer(cfg Config) *Server {
 			"request latency by endpoint",
 			obs.ExpBuckets(1e-5, 4, 14), obs.Labels{"endpoint": ep})
 	}
-	s.hits = reg.Counter("lognic_serve_cache_hits_total", "result cache hits", nil)
-	s.l1Hits = reg.Counter("lognic_serve_cache_l1_hits_total", "hits served from the exact-body L1 index, skipping request parsing", nil)
-	s.misses = reg.Counter("lognic_serve_cache_misses_total", "result cache misses", nil)
-	s.rejected = reg.Counter("lognic_serve_rejected_total", "requests shed with 429", nil)
-	s.entries = reg.Gauge("lognic_serve_cache_entries", "result cache occupancy", nil)
-	s.cacheBytes = reg.Gauge("lognic_serve_cache_bytes", "result cache body bytes", nil)
-	s.hitRatio = reg.Gauge("lognic_serve_cache_hit_ratio", "hits / (hits+misses)", nil)
-	s.inflight = reg.Gauge("lognic_serve_inflight", "evaluations running", nil)
-	s.queueLen = reg.Gauge("lognic_serve_queue_depth", "requests waiting for a worker", nil)
 	s.initTenants()
+	s.registerMetrics(reg)
 
 	// The SLO monitor samples the request counters on its own cadence;
 	// /v1/slo serves its judgement.
@@ -624,7 +608,8 @@ func (q *request) l1() bool {
 		return false
 	}
 	if cached, ok := q.s.cacheGet(q.ten, string(ck)); ok {
-		q.s.countHit(q.ten, true)
+		q.ten.hits.Add(1)
+		q.ten.l1Hits.Add(1)
 		return q.reply("hit", cached)
 	}
 	// The canonical tier evicted this key, so the index entry is dead
@@ -653,7 +638,7 @@ func (q *request) cache() bool {
 	if !ok {
 		return false
 	}
-	q.s.countHit(q.ten, false)
+	q.ten.hits.Add(1)
 	q.ten.l1.Put(q.l1key, []byte(q.p.key))
 	return q.reply("hit", cached)
 }
@@ -672,16 +657,10 @@ func (q *request) admit(ctx context.Context) bool {
 	}
 	if full {
 		t.queued.Add(-1)
-		// Refresh the gauges on the shed path too: under sustained
-		// saturation every request takes this branch, and without the
-		// refresh they freeze at whatever the last admitted request set.
-		s.setQueueGauges(t)
-		t.rejected.Inc()
-		s.rejected.Inc()
+		t.rejected.Add(1)
 		q.w.Header().Set("Retry-After", retryAfterValue(s.drainEstimate(t)))
 		return q.fail(http.StatusTooManyRequests, fmt.Errorf("serve: %s queue full (%d waiting)", q.endpoint, tq-1))
 	}
-	s.setQueueGauges(t)
 	select {
 	case t.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -689,8 +668,6 @@ func (q *request) admit(ctx context.Context) bool {
 		return q.fail(statusFor(ctx.Err()), fmt.Errorf("serve: timed out waiting for a worker: %w", ctx.Err()))
 	}
 	q.dequeue()
-	t.inflight.Add(1)
-	s.inflight.Add(1)
 	return false
 }
 
@@ -700,13 +677,6 @@ func (q *request) admit(ctx context.Context) bool {
 func (q *request) dequeue() {
 	q.s.queued.Add(-1)
 	q.ten.queued.Add(-1)
-	q.s.setQueueGauges(q.ten)
-}
-
-// setQueueGauges publishes the global and the tenant's queue depth.
-func (s *Server) setQueueGauges(t *tenant) {
-	s.queueLen.Set(float64(s.queued.Load()))
-	t.queueLen.Set(float64(t.queued.Load()))
 }
 
 // eval runs the evaluation under the request timeout in the worker slot
@@ -714,11 +684,7 @@ func (s *Server) setQueueGauges(t *tenant) {
 func (q *request) eval(ctx context.Context) bool {
 	s, t := q.s, q.ten
 	result, err := func() (any, error) {
-		defer func() {
-			<-t.sem
-			s.inflight.Add(-1)
-			t.inflight.Add(-1)
-		}()
+		defer func() { <-t.sem }()
 		if s.testDelay != nil {
 			s.testDelay(q.endpoint)
 		}
@@ -761,39 +727,11 @@ func (q *request) store() {
 	// started with caching disabled must report no cache traffic (and no
 	// 0.0 hit ratio for a cache that isn't there).
 	if t := q.ten; t.cache != nil {
-		q.s.misses.Inc()
-		t.misses.Inc()
+		t.misses.Add(1)
 		q.s.cachePut(t, q.p.key, out)
 		t.l1.Put(q.l1key, []byte(q.p.key))
-		q.s.updateCacheGauges()
 	}
 	q.reply("miss", out)
-}
-
-// updateCacheGauges refreshes the occupancy gauges after the cache
-// changed: one pair per partition, and the unlabeled aggregates as the
-// fleet-wide view (partitions plus spillover).
-func (s *Server) updateCacheGauges() {
-	var n int
-	var b int64
-	for _, p := range s.partitions {
-		pn, pb := p.cache.Len(), p.cache.Bytes()
-		p.partEntries.Set(float64(pn))
-		p.partBytes.Set(float64(pb))
-		n += pn
-		b += pb
-	}
-	s.entries.Set(float64(n))
-	s.cacheBytes.Set(float64(b))
-	s.updateHitRatio()
-}
-
-// updateHitRatio refreshes the hit-ratio gauge.
-func (s *Server) updateHitRatio() {
-	h, m := s.hits.Value(), s.misses.Value()
-	if h+m > 0 {
-		s.hitRatio.Set(h / (h + m))
-	}
 }
 
 // observeServiceTime folds one evaluation's wall time into the EWMA that

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -206,8 +207,9 @@ func TestCacheByteIdentity(t *testing.T) {
 			t.Fatalf("%s: fresh server disagrees with cached bytes", ep.path)
 		}
 	}
-	if s.hits.Value() != 3 || s.misses.Value() != 3 {
-		t.Fatalf("hits=%v misses=%v, want 3/3", s.hits.Value(), s.misses.Value())
+	hits, misses := metric(t, s, "lognic_serve_cache_hits_total"), metric(t, s, "lognic_serve_cache_misses_total")
+	if hits != 3 || misses != 3 {
+		t.Fatalf("hits=%v misses=%v, want 3/3", hits, misses)
 	}
 }
 
@@ -281,8 +283,8 @@ func TestBackpressure429(t *testing.T) {
 	if rejected.retry == "" {
 		t.Fatal("429 must carry Retry-After")
 	}
-	if s.rejected.Value() != 1 {
-		t.Fatalf("rejected counter = %v, want 1", s.rejected.Value())
+	if got := metric(t, s, "lognic_serve_rejected_total"); got != 1 {
+		t.Fatalf("rejected counter = %v, want 1", got)
 	}
 
 	close(release)
@@ -291,6 +293,25 @@ func TestBackpressure429(t *testing.T) {
 			t.Fatalf("admitted request status %d, want 200", r.code)
 		}
 	}
+}
+
+// metric reads one lognic_serve_* series, keyed name{labels} as
+// promSeries keys it, from the server's Prometheus exposition.
+func metric(t *testing.T, s *Server, series string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.cfg.Registry.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text, ok := promSeries(t, buf.Bytes())[series]
+	if !ok {
+		t.Fatalf("/metrics has no series %s", series)
+	}
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -148,7 +148,6 @@ func (s *Server) WarmCache(src string) (entries int, admittedBytes int64, err er
 		return 0, 0, err
 	}
 	defer rc.Close()
-	defer s.updateCacheGauges()
 	err = readCacheSnapshot(rc, func(tenant, key string, body []byte) {
 		if s.warmTarget(tenant).Put(key, body) {
 			entries++

@@ -83,38 +83,22 @@ type tenant struct {
 	sloTotal, sloErrors, sloSlow atomic.Uint64
 	slo                          *slo.Monitor
 
-	queueLen *obs.Gauge
-	inflight *obs.Gauge
-	hits     *obs.Counter
-	misses   *obs.Counter
-	rejected *obs.Counter
+	// Cache and admission tallies, read when /metrics is scraped
+	// (registerMetrics).
+	hits, l1Hits, misses, rejected atomic.Uint64
 }
 
 // partition is one slice of the canonical cache — a tenant's, or the
-// shared spillover pool under spillTenant — with its occupancy gauges.
+// shared spillover pool under spillTenant.
 type partition struct {
-	name                               string
-	cache                              *lruCache
-	budget                             int64
-	partBytes, partEntries, partBudget *obs.Gauge
+	name   string
+	cache  *lruCache
+	budget int64
 }
 
-// newPartition builds a cache partition and registers its gauges.
-func newPartition(reg *obs.Registry, name string, entries int, budget int64) partition {
-	labels := obs.Labels{"tenant": name}
-	p := partition{
-		name:   name,
-		cache:  newLRU(entries, budget),
-		budget: budget,
-		partBytes: reg.Gauge("lognic_serve_cache_partition_bytes",
-			"per-tenant cache partition occupancy in bytes", labels),
-		partEntries: reg.Gauge("lognic_serve_cache_partition_entries",
-			"per-tenant cache partition occupancy in entries", labels),
-		partBudget: reg.Gauge("lognic_serve_cache_partition_budget_bytes",
-			"per-tenant cache partition byte budget (0 = unbounded)", labels),
-	}
-	p.partBudget.Set(float64(budget))
-	return p
+// newPartition builds a cache partition.
+func newPartition(name string, entries int, budget int64) partition {
+	return partition{name: name, cache: newLRU(entries, budget), budget: budget}
 }
 
 // validTenantName restricts tenant names to a bounded, header- and
@@ -230,19 +214,13 @@ func apportionBytes(total int64, names []string, weights map[string]float64) map
 	return out
 }
 
-// initTenants builds the tenant table. Called once from NewServer, after
-// the server-wide metric handles exist.
+// initTenants builds the tenant table. Called once from NewServer.
 func (s *Server) initTenants() {
 	weights := s.cfg.TenantWeights
-	reg := s.cfg.Registry
 	if !s.tenanted() {
 		// Untenanted is one default tenant owning every worker, queue slot
-		// and cache byte. Its per-tenant series would only repeat the
-		// unlabeled server-wide ones, so they go to a private registry
-		// that is never exported — the request path updates them all the
-		// same.
+		// and cache byte.
 		weights = map[string]float64{defaultTenant: 1}
-		reg = obs.NewRegistry()
 	}
 	names := make([]string, 0, len(weights))
 	for name := range weights {
@@ -281,19 +259,13 @@ func (s *Server) initTenants() {
 			t.label = name
 		}
 		if cacheOn {
-			t.partition = newPartition(reg, name, entryShares[name], byteShares[name])
+			t.partition = newPartition(name, entryShares[name], byteShares[name])
 			// The L1 keys on whole request bodies, so it gets a quarter of
 			// the partition's byte budget — enough to index every hot entry
 			// without competing with the responses themselves for memory.
 			t.l1 = newLRU(entryShares[name], t.budget/4)
 			s.partitions = append(s.partitions, &t.partition)
 		}
-		labels := obs.Labels{"tenant": name}
-		t.queueLen = reg.Gauge("lognic_serve_queue_depth", "requests waiting for a worker", labels)
-		t.inflight = reg.Gauge("lognic_serve_inflight", "evaluations running", labels)
-		t.hits = reg.Counter("lognic_serve_cache_hits_total", "result cache hits", labels)
-		t.misses = reg.Counter("lognic_serve_cache_misses_total", "result cache misses", labels)
-		t.rejected = reg.Counter("lognic_serve_rejected_total", "requests shed with 429", labels)
 		// The tenant's own burn-rate monitor. No Registry: the lognic_slo_*
 		// series belong to the server-wide monitor; tenant judgements are
 		// served as /v1/slo rows instead.
@@ -307,7 +279,7 @@ func (s *Server) initTenants() {
 		s.tenants[name] = t
 	}
 	if spillBytes > 0 {
-		spill := newPartition(reg, spillTenant, s.cfg.CacheEntries, spillBytes)
+		spill := newPartition(spillTenant, s.cfg.CacheEntries, spillBytes)
 		s.spill = spill.cache
 		s.partitions = append(s.partitions, &spill)
 	}
@@ -368,17 +340,6 @@ func (s *Server) cachePut(t *tenant, key string, body []byte) {
 	if !t.cache.Put(key, body) {
 		s.spill.Put(key, body)
 	}
-}
-
-// countHit tallies a cache hit against the server and the tenant. A hit
-// moves no entries or bytes, so only the hit ratio needs refreshing.
-func (s *Server) countHit(t *tenant, l1 bool) {
-	s.hits.Inc()
-	t.hits.Inc()
-	if l1 {
-		s.l1Hits.Inc()
-	}
-	s.updateHitRatio()
 }
 
 // countSLO tallies one finished request against the tenant's SLO

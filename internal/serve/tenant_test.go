@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -133,9 +134,10 @@ func TestTenantDefaultPathByteCompat(t *testing.T) {
 	if warmOn.Header.Get("X-Cache") != "hit" || !bytes.Equal(coldOff, warmBody) {
 		t.Fatal("tenanted warm hit must replay the untenanted bytes")
 	}
-	if sOn.tenants[defaultTenant].misses.Value() != 1 || sOn.tenants[defaultTenant].hits.Value() != 1 {
-		t.Fatalf("default tenant accounting: misses=%v hits=%v, want 1/1",
-			sOn.tenants[defaultTenant].misses.Value(), sOn.tenants[defaultTenant].hits.Value())
+	misses := metric(t, sOn, `lognic_serve_cache_misses_total{tenant="default"}`)
+	hits := metric(t, sOn, `lognic_serve_cache_hits_total{tenant="default"}`)
+	if misses != 1 || hits != 1 {
+		t.Fatalf("default tenant accounting: misses=%v hits=%v, want 1/1", misses, hits)
 	}
 	// Unknown names fold into the default bucket, not a fresh one.
 	if got := sOn.tenantFor("nobody"); got != sOn.tenants[defaultTenant] {
@@ -221,8 +223,9 @@ func TestTenantFairnessSkewed(t *testing.T) {
 	if shed.retry == "" {
 		t.Fatal("tenant 429 must carry Retry-After")
 	}
-	if heavy.rejected.Value() != 1 || s.rejected.Value() != 1 {
-		t.Fatalf("rejected: heavy=%v total=%v, want 1/1", heavy.rejected.Value(), s.rejected.Value())
+	rejected := func(series string) float64 { return metric(t, s, "lognic_serve_rejected_total"+series) }
+	if rejected(`{tenant="heavy"}`) != 1 || rejected("") != 1 {
+		t.Fatalf("rejected: heavy=%v total=%v, want 1/1", rejected(`{tenant="heavy"}`), rejected(""))
 	}
 
 	// Light and default (via an unknown name) must still admit — their
@@ -231,7 +234,7 @@ func TestTenantFairnessSkewed(t *testing.T) {
 	waitFor(t, func() bool { return entered.Load() == 3 })
 	go do("unknown-name", 11)
 	waitFor(t, func() bool { return entered.Load() == 4 })
-	if light.rejected.Value() != 0 || s.tenants[defaultTenant].rejected.Value() != 0 {
+	if rejected(`{tenant="light"}`) != 0 || rejected(`{tenant="default"}`) != 0 {
 		t.Fatal("light/default tenants must not shed while heavy saturates")
 	}
 
@@ -245,8 +248,10 @@ func TestTenantFairnessSkewed(t *testing.T) {
 
 	// Cache partitions: every tenant within its byte budget, and the
 	// budgets visible via labeled gauges.
-	for name, ten := range s.tenants {
-		budget, used := ten.partBudget.Value(), ten.partBytes.Value()
+	for name := range s.tenants {
+		label := fmt.Sprintf(`{tenant=%q}`, name)
+		budget := metric(t, s, "lognic_serve_cache_partition_budget_bytes"+label)
+		used := metric(t, s, "lognic_serve_cache_partition_bytes"+label)
 		if budget <= 0 {
 			t.Fatalf("tenant %s has no partition budget", name)
 		}
@@ -449,8 +454,16 @@ func TestTenantSnapshotRoundTrip(t *testing.T) {
 // Acceptance: two tenants at 10:1 offered load against a saturated pool.
 // The light tenant's error rate and p99 must stay within 20% of its solo
 // (no heavy tenant) values — the reserved shares, not luck, must carry it.
+// The light tenant completes about a dozen requests a second, so one
+// short run's p99 is its slowest request; solo and shared runs alternate
+// over several rounds and the medians of the per-round p99s are compared,
+// so one scheduler hiccup cannot decide the verdict.
 func TestTenantSkewAcceptance(t *testing.T) {
-	const evalSleep = 80 * time.Millisecond
+	const (
+		evalSleep = 80 * time.Millisecond
+		rounds    = 5
+		phase     = time.Second
+	)
 	newSaturableReplica := func() string {
 		s, srv := newTestServer(t, Config{
 			Workers: 3, QueueDepth: 4, CacheEntries: -1,
@@ -469,63 +482,80 @@ func TestTenantSkewAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	soloURL, sharedURL := newSaturableReplica(), newSaturableReplica()
 
-	// Solo baseline: the light tenant alone, one closed-loop worker.
-	solo, err := storm.Run(context.Background(), storm.Config{
-		Targets: []string{newSaturableReplica()},
-		Workers: 1, Duration: 2 * time.Second, Corpus: items,
-		Tenants: []storm.TenantLoad{{Name: "light", Weight: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var soloP99s, sharedP99s []float64
+	for r := 0; r < rounds; r++ {
+		// Solo baseline: the light tenant alone, one closed-loop worker.
+		solo, err := storm.Run(context.Background(), storm.Config{
+			Targets: []string{soloURL},
+			Workers: 1, Duration: phase, Corpus: items,
+			Tenants: []storm.TenantLoad{{Name: "light", Weight: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Shared run: heavy offers 10× light's concurrency against the same
+		// shape of replica, far past heavy's 2-worker/3-queue share.
+		shared, err := storm.Run(context.Background(), storm.Config{
+			Targets: []string{sharedURL},
+			Workers: 11, Duration: phase, Corpus: items,
+			Tenants: []storm.TenantLoad{
+				{Name: "heavy", Weight: 10},
+				{Name: "light", Weight: 1},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		soloLight, sharedLight := solo.Tenants["light"], shared.Tenants["light"]
+		heavy := shared.Tenants["heavy"]
+		if soloLight == nil || sharedLight == nil || heavy == nil {
+			t.Fatalf("round %d: missing tenant rows: solo=%+v shared=%+v", r, solo.Tenants, shared.Tenants)
+		}
+		if soloLight.Completed == 0 || sharedLight.Completed == 0 {
+			t.Fatalf("round %d: light did no work: solo=%d shared=%d", r, soloLight.Completed, sharedLight.Completed)
+		}
+
+		// The saturating tenant is shed — against its own budget, always
+		// with a retry hint.
+		if heavy.Shed == 0 {
+			t.Fatalf("round %d: heavy at 10 concurrency over a 2+3 share must shed: %+v", r, heavy)
+		}
+		if heavy.ShedMissingRetryAfter != 0 {
+			t.Fatalf("round %d: %d heavy 429s arrived without Retry-After", r, heavy.ShedMissingRetryAfter)
+		}
+
+		// The light tenant is untouched: zero shed, zero errors (solo error
+		// rate is zero, so within-20% means zero).
+		if sharedLight.Shed != 0 || sharedLight.Dropped != 0 {
+			t.Fatalf("round %d: light tenant shed under heavy load: %+v", r, sharedLight)
+		}
+		if n := sharedLight.Errors4xx + sharedLight.Errors5xx + sharedLight.NetErrors; n != 0 {
+			t.Fatalf("round %d: light tenant saw %d errors under heavy load", r, n)
+		}
+		soloP99 := soloLight.Latency["estimate"].P99Ms
+		sharedP99 := sharedLight.Latency["estimate"].P99Ms
+		if soloP99 <= 0 || sharedP99 <= 0 {
+			t.Fatalf("round %d: p99 missing: solo=%v shared=%v", r, soloP99, sharedP99)
+		}
+		soloP99s = append(soloP99s, soloP99)
+		sharedP99s = append(sharedP99s, sharedP99)
 	}
 
-	// Shared run: heavy offers 10× light's concurrency against the same
-	// shape of replica, far past heavy's 2-worker/3-queue share.
-	shared, err := storm.Run(context.Background(), storm.Config{
-		Targets: []string{newSaturableReplica()},
-		Workers: 11, Duration: 2 * time.Second, Corpus: items,
-		Tenants: []storm.TenantLoad{
-			{Name: "heavy", Weight: 10},
-			{Name: "light", Weight: 1},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	soloLight, sharedLight := solo.Tenants["light"], shared.Tenants["light"]
-	heavy := shared.Tenants["heavy"]
-	if soloLight == nil || sharedLight == nil || heavy == nil {
-		t.Fatalf("missing tenant rows: solo=%+v shared=%+v", solo.Tenants, shared.Tenants)
-	}
-	if soloLight.Completed == 0 || sharedLight.Completed == 0 {
-		t.Fatalf("light did no work: solo=%d shared=%d", soloLight.Completed, sharedLight.Completed)
-	}
-
-	// The saturating tenant is shed — against its own budget, always with
-	// a retry hint.
-	if heavy.Shed == 0 {
-		t.Fatalf("heavy at 10 concurrency over a 2+3 share must shed: %+v", heavy)
-	}
-	if heavy.ShedMissingRetryAfter != 0 {
-		t.Fatalf("%d heavy 429s arrived without Retry-After", heavy.ShedMissingRetryAfter)
-	}
-
-	// The light tenant is untouched: zero shed, zero errors (solo error
-	// rate is zero, so within-20% means zero), p99 within 20% of solo.
-	if sharedLight.Shed != 0 || sharedLight.Dropped != 0 {
-		t.Fatalf("light tenant shed under heavy load: %+v", sharedLight)
-	}
-	if n := sharedLight.Errors4xx + sharedLight.Errors5xx + sharedLight.NetErrors; n != 0 {
-		t.Fatalf("light tenant saw %d errors under heavy load", n)
-	}
-	soloP99 := soloLight.Latency["estimate"].P99Ms
-	sharedP99 := sharedLight.Latency["estimate"].P99Ms
-	if soloP99 <= 0 || sharedP99 <= 0 {
-		t.Fatalf("p99 missing: solo=%v shared=%v", soloP99, sharedP99)
-	}
+	// And its p99 stays within 20% of solo.
+	soloP99, sharedP99 := median(soloP99s), median(sharedP99s)
 	if sharedP99 > soloP99*1.20 {
-		t.Fatalf("light p99 degraded past 20%%: solo %.1fms, shared %.1fms", soloP99, sharedP99)
+		t.Fatalf("light p99 degraded past 20%%: median solo %.1fms, shared %.1fms (rounds: solo %.1f, shared %.1f)",
+			soloP99, sharedP99, soloP99s, sharedP99s)
 	}
+}
+
+// median returns the middle value of an odd-length sample.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
