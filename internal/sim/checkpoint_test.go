@@ -8,6 +8,8 @@ package sim_test
 // retries, bursty flows, deterministic service — is exercised.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -116,6 +118,62 @@ func TestCheckpointSinkIsObserverOnly(t *testing.T) {
 	withSink, _ := captureCheckpoints(t, cfg, 2000)
 	if simtest.ResultDigest(base) != simtest.ResultDigest(withSink) {
 		t.Fatal("enabling checkpoints changed the run result")
+	}
+}
+
+// TestCheckpointEncodingGolden pins the serialized checkpoint bytes, not
+// just the results a resume reproduces: the SHA-256 of every Encode()
+// output, taken every 2000 events, of a run that puts every kind of state
+// into its snapshots — per-edge WRR queues, engine loss and recovery, a
+// timed degrade of the dedicated front->b link, a vertex stall, and
+// retries. Checkpoints written by one engine revision must resume on the
+// next, so a change to how the engine holds its state in memory must not
+// change a byte of what it writes. Refresh intentionally changed goldens
+// with:
+//
+//	go test ./internal/sim -run TestCheckpointEncodingGolden -update
+func TestCheckpointEncodingGolden(t *testing.T) {
+	g := simtest.LoadGolden(t, "testdata/checkpoint_digests.json")
+	defer g.Save(t)
+	d := goldenDevices(t)[0]
+	for _, seed := range []int64{1, 2} {
+		cfg := goldenScenarios(t, d, seed)["wrr"]
+		dur := cfg.Duration
+		cfg.Faults = sim.FaultSchedule{
+			{Kind: sim.EngineDown, Time: 0.2 * dur, Vertex: "a", Count: 3},
+			{Kind: sim.EngineUp, Time: 0.5 * dur, Vertex: "a", Count: 3},
+			{Kind: sim.LinkDegrade, Time: 0.3 * dur, Link: "front->b", Factor: 0.3, Duration: 0.2 * dur},
+			{Kind: sim.VertexStall, Time: 0.7 * dur, Vertex: "sink", Duration: 0.05 * dur},
+		}
+		cfg.Retry = map[string]sim.RetryPolicy{
+			"a":    {MaxRetries: 2, Backoff: 2e-6},
+			"sink": {MaxRetries: 2, Backoff: 2e-6},
+		}
+		res, cks := captureCheckpoints(t, cfg, 2000)
+		f := res.Faults
+		if f.Retries == 0 || f.LinkRestores != 1 || f.StallRecoveries != 1 || f.EngineUpEvents != 1 {
+			t.Fatalf("seed%d: scenario misses a state kind: %+v", seed, f)
+		}
+		perEdge := false
+		for _, b := range cks {
+			ck, err := sim.DecodeCheckpoint(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range ck.Nodes {
+				for _, q := range n.Queue.PerEdge {
+					perEdge = perEdge || len(q) > 0
+				}
+			}
+		}
+		if !perEdge {
+			t.Fatalf("seed%d: no checkpoint holds a packet in a per-edge queue", seed)
+		}
+		g.Check(t, simtest.Key(d.name, "seed", seed, "count"), simtest.Key(len(cks)))
+		for i, b := range cks {
+			sum := sha256.Sum256(b)
+			g.Check(t, simtest.Key(d.name, "seed", seed, "ckpt", i), hex.EncodeToString(sum[:]))
+		}
 	}
 }
 
