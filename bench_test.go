@@ -11,6 +11,7 @@ package lognic
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -434,7 +435,11 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 // LiquidIO-2-class part (8 cores, 512 B packets) with ingress at 0.9× the
 // interface: every byte crosses the interface twice, so it carries 1.8×
 // its bandwidth and its backlog of in-flight transfers grows all run.
-// Both report ns/event and the peak number of pending events.
+// parallel runs linkbound on every GOMAXPROCS goroutine at once, the
+// shape of lognic-serve answering concurrent simulate requests: with
+// several runs allocating together the GC is often marking, which a lone
+// serial run rarely sees. Each reports ns/event (wall time over all
+// events) and the peak number of pending events.
 func BenchmarkSimEngine(b *testing.B) {
 	b.Run("pipeline", func(b *testing.B) {
 		g, err := core.NewBuilder("perf").
@@ -456,28 +461,36 @@ func BenchmarkSimEngine(b *testing.B) {
 		})
 	})
 	b.Run("linkbound", func(b *testing.B) {
-		const intf = 50e9 / 8 // interface bytes/s
-		g, err := core.NewBuilder("storm-lio2").
-			AddIngress("rx").
-			AddVertex(core.Vertex{Name: "cores", Kind: core.KindIP, Throughput: 10e9 / 8,
-				Parallelism: 8, QueueCapacity: 64, Overhead: 3e-7}).
-			AddVertex(core.Vertex{Name: "accel", Kind: core.KindIP, Throughput: 40e9 / 8,
-				Parallelism: 2, QueueCapacity: 128}).
-			AddEgress("tx").
-			AddEdge(core.Edge{From: "rx", To: "cores", Delta: 1, Alpha: 1}).
-			AddEdge(core.Edge{From: "cores", To: "accel", Delta: 1, Alpha: 1, Beta: 1}).
-			AddEdge(core.Edge{From: "accel", To: "tx", Delta: 1}).
-			Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchEngine(b, sim.Config{
-			Graph:    g,
-			Hardware: core.Hardware{InterfaceBW: intf, MemoryBW: 160e9},
-			Profile:  traffic.Fixed("storm", unit.Bandwidth(0.9*intf), 512),
-			Duration: 0.002,
-		})
+		benchEngine(b, linkboundConfig(b))
 	})
+	b.Run("parallel", func(b *testing.B) {
+		benchEngineParallel(b, linkboundConfig(b))
+	})
+}
+
+// linkboundConfig is BenchmarkSimEngine's linkbound run.
+func linkboundConfig(b *testing.B) sim.Config {
+	const intf = 50e9 / 8 // interface bytes/s
+	g, err := core.NewBuilder("storm-lio2").
+		AddIngress("rx").
+		AddVertex(core.Vertex{Name: "cores", Kind: core.KindIP, Throughput: 10e9 / 8,
+			Parallelism: 8, QueueCapacity: 64, Overhead: 3e-7}).
+		AddVertex(core.Vertex{Name: "accel", Kind: core.KindIP, Throughput: 40e9 / 8,
+			Parallelism: 2, QueueCapacity: 128}).
+		AddEgress("tx").
+		AddEdge(core.Edge{From: "rx", To: "cores", Delta: 1, Alpha: 1}).
+		AddEdge(core.Edge{From: "cores", To: "accel", Delta: 1, Alpha: 1, Beta: 1}).
+		AddEdge(core.Edge{From: "accel", To: "tx", Delta: 1}).
+		Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sim.Config{
+		Graph:    g,
+		Hardware: core.Hardware{InterfaceBW: intf, MemoryBW: 160e9},
+		Profile:  traffic.Fixed("storm", unit.Bandwidth(0.9*intf), 512),
+		Duration: 0.002,
+	}
 }
 
 // benchEngine runs cfg b.N times, one seed per run, and reports
@@ -506,6 +519,43 @@ func benchEngine(b *testing.B, cfg sim.Config) {
 	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(peak), "peak-pending")
+}
+
+// benchEngineParallel is benchEngine with the b.N runs spread over
+// b.RunParallel's goroutines, each run with its own seed. ns/event is
+// wall time over the events of all runs.
+func benchEngineParallel(b *testing.B, cfg sim.Config) {
+	b.Helper()
+	var seed, packets, events, peak atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			cfg := cfg
+			cfg.Seed = seed.Add(1)
+			s, err := sim.New(cfg)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			res, err := s.Run()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			packets.Add(int64(res.DeliveredPackets))
+			events.Add(int64(s.Events()))
+			for p := int64(s.PeakPending()); ; {
+				old := peak.Load()
+				if p <= old || peak.CompareAndSwap(old, p) {
+					break
+				}
+			}
+		}
+	})
+	b.ReportMetric(float64(packets.Load())/b.Elapsed().Seconds(), "pkts/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events.Load()), "ns/event")
+	b.ReportMetric(float64(peak.Load()), "peak-pending")
 }
 
 // BenchmarkMesh64 runs the 64-tenant microservice mesh (sim.MeshConfig,

@@ -541,8 +541,7 @@ func (q *request) finish() {
 	s := q.s
 	d := time.Since(q.start)
 	s.latency[q.endpoint].Observe(d.Seconds())
-	s.cfg.Registry.Counter("lognic_serve_requests_total", "requests by endpoint and status",
-		q.ten.labels(obs.Labels{"endpoint": q.endpoint, "code": fmt.Sprint(q.code)})).Inc()
+	q.ten.requestsTotal(s.cfg.Registry, q.endpoint, q.code).Inc()
 	q.ten.countSLO(q.code, d > s.cfg.SLOLatencyThreshold)
 	lvl := slog.LevelDebug
 	if q.code >= 500 {

@@ -38,6 +38,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -86,6 +87,17 @@ type tenant struct {
 	// Cache and admission tallies, read when /metrics is scraped
 	// (registerMetrics).
 	hits, l1Hits, misses, rejected atomic.Uint64
+
+	// requests holds the tenant's lognic_serve_requests_total series by
+	// endpoint and status code, each resolved on its first request.
+	requestsMu sync.Mutex
+	requests   map[requestSeries]*obs.Counter
+}
+
+// requestSeries names one lognic_serve_requests_total series of a tenant.
+type requestSeries struct {
+	endpoint string
+	code     int
 }
 
 // partition is one slice of the canonical cache — a tenant's, or the
@@ -320,6 +332,26 @@ func (t *tenant) labels(l obs.Labels) obs.Labels {
 		l["tenant"] = t.label
 	}
 	return l
+}
+
+// requestsTotal returns the tenant's lognic_serve_requests_total series
+// for one endpoint and status code. It registers the series on first use,
+// so a series appears only after its first request, and later requests
+// skip the registry's label map, key and lock.
+func (t *tenant) requestsTotal(reg *obs.Registry, endpoint string, code int) *obs.Counter {
+	k := requestSeries{endpoint, code}
+	t.requestsMu.Lock()
+	defer t.requestsMu.Unlock()
+	c, ok := t.requests[k]
+	if !ok {
+		c = reg.Counter("lognic_serve_requests_total", "requests by endpoint and status",
+			t.labels(obs.Labels{"endpoint": endpoint, "code": strconv.Itoa(code)}))
+		if t.requests == nil {
+			t.requests = map[requestSeries]*obs.Counter{}
+		}
+		t.requests[k] = c
+	}
+	return c
 }
 
 // cacheGet probes the canonical tier for one request: the tenant's

@@ -124,7 +124,8 @@ type PacketState struct {
 	Retries int
 }
 
-// EventState is one heap entry with pointers replaced by names/indices.
+// EventState is one heap entry with its vertices named and its packet
+// indexed into Packets.
 type EventState struct {
 	Time float64
 	Seq  uint64
@@ -254,16 +255,19 @@ func (s *Simulator) snapshot() *Checkpoint {
 	// Packet table: every live packet is reachable from the event heap
 	// (in-service and in-transfer packets ride evServiceDone/evArriveAt
 	// events) or a vertex queue. The free list holds only dead records.
-	index := map[*packet]int32{}
-	register := func(p *packet) int32 {
-		if p == nil {
+	// The snapshot numbers live packets in the order it first meets them,
+	// whatever their handles.
+	index := map[int32]int32{}
+	register := func(h int32) int32 {
+		if h == 0 {
 			return -1
 		}
-		if i, ok := index[p]; ok {
+		if i, ok := index[h]; ok {
 			return i
 		}
 		i := int32(len(ck.Packets))
-		index[p] = i
+		index[h] = i
+		p := s.packet(h)
 		ck.Packets = append(ck.Packets, PacketState{
 			ID: p.id, Size: p.size, Born: p.born, Arrived: p.arrived,
 			Flow: p.flow, Measure: p.measure, Retries: p.retries,
@@ -279,7 +283,7 @@ func (s *Simulator) snapshot() *Checkpoint {
 		e := &s.events.slab[k.slot]
 		es := EventState{
 			Time: k.time, Seq: k.seq, Pkt: register(e.pkt),
-			Node: e.node.name(), From: e.from.name(), A: e.a, B: e.b, Flow: e.flow,
+			Node: s.nodeName(e.node), From: s.nodeName(e.from), A: e.a, B: e.b, Flow: e.flow,
 			Idx: e.idx, Kind: uint8(e.kind),
 		}
 		if e.kind == evLinkRestore {
@@ -291,11 +295,11 @@ func (s *Simulator) snapshot() *Checkpoint {
 		ck.Events[i] = es
 	}
 
-	ck.Nodes = make([]NodeState, 0, len(s.order))
-	for _, name := range s.order {
-		n := s.nodes[name]
+	ck.Nodes = make([]NodeState, 0, len(s.nodes))
+	for i := range s.nodes {
+		n := &s.nodes[i]
 		ns := NodeState{
-			Name: name, Busy: n.busy, Down: n.down,
+			Name: n.v.Name, Busy: n.busy, Down: n.down,
 			StalledUntil: n.stalledUntil,
 			Arrivals:     n.arrivals, Served: n.served, Dropped: n.dropped,
 			WaitSum: n.waitSum,
@@ -384,10 +388,9 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 	}
 	s.gen = gen
 
-	// Packet table.
-	packets := make([]*packet, len(ck.Packets))
-	for i, ps := range ck.Packets {
-		packets[i] = &packet{
+	// Packet table: checkpoint packet i gets handle i+1.
+	for _, ps := range ck.Packets {
+		*s.packet(s.allocPacket()) = packet{
 			id: ps.ID, size: ps.Size, born: ps.Born, arrived: ps.Arrived,
 			flow: ps.Flow, measure: ps.Measure, retries: ps.Retries,
 		}
@@ -395,24 +398,25 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 	// A live packet sits in exactly one place — one pending event or one
 	// queue slot — so a second reference would alias one record and free
 	// it twice.
-	taken := make([]bool, len(packets))
-	pkt := func(i int32) (*packet, error) {
-		if i < 0 || int(i) >= len(packets) {
-			return nil, fmt.Errorf("sim: checkpoint packet index %d out of range", i)
+	taken := make([]bool, len(ck.Packets))
+	pkt := func(i int32) (int32, error) {
+		if i < 0 || int(i) >= len(ck.Packets) {
+			return 0, fmt.Errorf("sim: checkpoint packet index %d out of range", i)
 		}
 		if taken[i] {
-			return nil, fmt.Errorf("sim: checkpoint packet %d referenced twice", i)
+			return 0, fmt.Errorf("sim: checkpoint packet %d referenced twice", i)
 		}
 		taken[i] = true
-		return packets[i], nil
+		return i + 1, nil
 	}
 
 	// Node state and queue contents.
 	for _, ns := range ck.Nodes {
-		n, ok := s.nodes[ns.Name]
+		id, ok := s.byName[ns.Name]
 		if !ok {
 			return nil, fmt.Errorf("sim: checkpoint names unknown vertex %q", ns.Name)
 		}
+		n := s.node(id)
 		n.busy = ns.Busy
 		n.down = ns.Down
 		n.stalledUntil = ns.StalledUntil
@@ -483,15 +487,15 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 	// (or, from before lanes, a heap array), so it is a valid heap, and
 	// the (time, seq) order is total, so it replays the identical pop
 	// sequence.
-	vertex := func(i int, name string) (*node, error) {
+	vertex := func(i int, name string) (int32, error) {
 		if name == "" {
-			return nil, nil
+			return 0, nil
 		}
-		n, ok := s.nodes[name]
+		id, ok := s.byName[name]
 		if !ok {
-			return nil, fmt.Errorf("sim: checkpoint event %d names unknown vertex %q", i, name)
+			return 0, fmt.Errorf("sim: checkpoint event %d names unknown vertex %q", i, name)
 		}
-		return n, nil
+		return id, nil
 	}
 	keys := make([]eventKey, len(ck.Events))
 	evs := make([]event, len(ck.Events))
@@ -510,11 +514,11 @@ func Resume(cfg Config, ck *Checkpoint) (*Simulator, error) {
 		// Each kind must carry the operands dispatch dereferences.
 		switch e.kind {
 		case evStallRecover:
-			if e.node == nil {
+			if e.node == 0 {
 				return nil, fmt.Errorf("sim: checkpoint event %d (kind %d) names no vertex", i, es.Kind)
 			}
 		case evArriveAt, evServiceDone:
-			if e.node == nil {
+			if e.node == 0 {
 				return nil, fmt.Errorf("sim: checkpoint event %d (kind %d) names no vertex", i, es.Kind)
 			}
 			if e.pkt, err = pkt(es.Pkt); err != nil {

@@ -27,9 +27,14 @@ package sim
 //     heap, so lanes never change the dequeue order;
 //   - the event's action is a small kind tag plus typed operands
 //     dispatched through one switch, replacing per-event closures;
-//   - packet records recycle through a free list (sim.go), and per-vertex
-//     queue storage is preallocated ring buffers sized from the vertex's
-//     configured queue capacity (queues.go).
+//   - packet records recycle through a free list of handles (sim.go), and
+//     per-vertex queue storage is preallocated ring buffers sized from the
+//     vertex's configured queue capacity (queues.go);
+//   - payloads, queue records and free lists name vertices and packets by
+//     index, never by pointer, so the slab, lane and queue rings, packet
+//     blocks and free lists are pointer-free memory: the GC never scans
+//     them, and no store into them pays a write barrier while a
+//     collection is marking.
 //
 // With observability off (Config.Spans nil) the steady-state loop
 // allocates nothing per event; TestSteadyStateAllocFree pins that.
@@ -66,11 +71,13 @@ const (
 )
 
 // event is one scheduled action's payload, stored by value in the queue's
-// slab; its fire time and sequence number live in its key. The operand
-// fields are kind-specific:
+// slab; its fire time and sequence number live in its key. Vertices are
+// named by their 1-based index in Simulator.nodes (0 for none) and
+// packets by their handle in Simulator.packets, never by pointer (see
+// "Heap and slab" in docs/SIM.md). The operand fields are kind-specific:
 //
 //	evArrival:      a = packet size, flow = flow id (time is the arrival)
-//	evArriveAt:     node = destination, from = upstream vertex (nil for a
+//	evArriveAt:     node = destination, from = upstream vertex (0 for a
 //	                fresh ingress arrival), pkt
 //	evServiceDone:  node = server, pkt, a = queueing wait, b = service start
 //	evFault:        idx into cfg.Faults
@@ -78,11 +85,11 @@ const (
 //	evStallRecover: node = stalled vertex, idx = originating fault
 //	evWarmup:       no operands
 type event struct {
-	node *node
-	from *node
-	pkt  *packet
 	a, b float64
 	flow uint64
+	node int32
+	from int32
+	pkt  int32
 	idx  int32
 	kind eventKind
 }
@@ -252,9 +259,8 @@ func (q *eventQueue) siftDown(k eventKey) {
 }
 
 // release frees a popped event's slab slot. The slot is not zeroed: every
-// schedule overwrites the whole payload, and the stale pointers it keeps
-// name nodes and recycled packets that live as long as the simulator, so
-// zeroing would only pay GC write barriers for nothing.
+// schedule overwrites the whole payload, and a payload holds indices, not
+// pointers, so a stale one keeps nothing alive.
 func (q *eventQueue) release(slot int32) {
 	q.free = append(q.free, slot)
 }
@@ -317,9 +323,9 @@ func (s *Simulator) schedule(t float64, ln int32) *event {
 func (s *Simulator) dispatch(e *event) {
 	switch e.kind {
 	case evArriveAt:
-		s.arriveAt(e.node, e.from, e.pkt)
+		s.arriveAt(s.node(e.node), e.from, e.pkt)
 	case evServiceDone:
-		s.serviceDone(e.node, e.pkt, e.a, e.b)
+		s.serviceDone(s.node(e.node), e.pkt, e.a, e.b)
 	case evArrival:
 		s.arrivalPump(e.a, e.flow)
 	case evFault:
@@ -327,7 +333,7 @@ func (s *Simulator) dispatch(e *event) {
 	case evLinkRestore:
 		s.restoreLink(s.cfg.Faults[e.idx].Link)
 	case evStallRecover:
-		s.recoverStall(e.node)
+		s.recoverStall(s.node(e.node))
 	case evWarmup:
 		s.rebaseWindows()
 	}

@@ -91,14 +91,14 @@ func (fs FaultSchedule) validate(s *Simulator) error {
 		}
 		switch f.Kind {
 		case EngineDown, EngineUp:
-			if _, ok := s.nodes[f.Vertex]; !ok {
+			if _, ok := s.byName[f.Vertex]; !ok {
 				return fmt.Errorf("sim: fault %d (%s): unknown vertex %q", i, f.Kind, f.Vertex)
 			}
 			if f.Count < 0 {
 				return fmt.Errorf("sim: fault %d (%s): negative engine count %d", i, f.Kind, f.Count)
 			}
 		case VertexStall:
-			if _, ok := s.nodes[f.Vertex]; !ok {
+			if _, ok := s.byName[f.Vertex]; !ok {
 				return fmt.Errorf("sim: fault %d (%s): unknown vertex %q", i, f.Kind, f.Vertex)
 			}
 			if f.Duration <= 0 || math.IsNaN(f.Duration) || math.IsInf(f.Duration, 0) {
@@ -179,13 +179,13 @@ type FaultStats struct {
 func (s *Simulator) FaultStats() FaultStats {
 	fs := s.faults
 	fs.EngineDownTime = nil // never alias the live accumulator's map
-	for _, name := range s.order {
-		n := s.nodes[name]
+	for i := range s.nodes {
+		n := &s.nodes[i]
 		if n.downTW.started {
 			if fs.EngineDownTime == nil {
 				fs.EngineDownTime = map[string]float64{}
 			}
-			fs.EngineDownTime[name] = n.downTW.total(s.now)
+			fs.EngineDownTime[n.v.Name] = n.downTW.total(s.now)
 		}
 	}
 	return fs
@@ -205,7 +205,7 @@ func (s *Simulator) scheduleFaults() {
 func (s *Simulator) applyFault(f Fault, idx int32) {
 	switch f.Kind {
 	case EngineDown:
-		n := s.nodes[f.Vertex]
+		n := s.node(s.byName[f.Vertex])
 		count := f.Count
 		if count == 0 {
 			count = 1
@@ -218,7 +218,7 @@ func (s *Simulator) applyFault(f Fault, idx int32) {
 		s.faults.EngineDownEvents++
 		s.traceFault(TraceFaultInject, f.Vertex)
 	case EngineUp:
-		n := s.nodes[f.Vertex]
+		n := s.node(s.byName[f.Vertex])
 		count := f.Count
 		if count == 0 {
 			count = 1
@@ -240,14 +240,14 @@ func (s *Simulator) applyFault(f Fault, idx int32) {
 			*s.schedule(s.now+f.Duration, 0) = event{kind: evLinkRestore, idx: idx}
 		}
 	case VertexStall:
-		n := s.nodes[f.Vertex]
+		n := s.node(s.byName[f.Vertex])
 		until := s.now + f.Duration
 		if until > n.stalledUntil {
 			n.stalledUntil = until
 		}
 		s.faults.VertexStallEvents++
 		s.traceFault(TraceFaultInject, f.Vertex)
-		*s.schedule(until, 0) = event{kind: evStallRecover, node: n, idx: idx}
+		*s.schedule(until, 0) = event{kind: evStallRecover, node: n.id, idx: idx}
 	}
 }
 

@@ -48,9 +48,10 @@ func (s *Simulator) initObs() {
 		events:    reg.Counter("lognic_sim_events_total", "discrete events processed", nil),
 		retries:   reg.Counter("lognic_sim_retries_total", "packets re-issued under a retry policy", nil),
 	}
-	for _, name := range s.order {
-		s.nodes[name].droppedC = reg.Counter("lognic_sim_packets_dropped_total",
-			"arrivals rejected by a full queue", obs.Labels{"vertex": name})
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		n.droppedC = reg.Counter("lognic_sim_packets_dropped_total",
+			"arrivals rejected by a full queue", obs.Labels{"vertex": n.v.Name})
 	}
 }
 

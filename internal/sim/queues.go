@@ -62,7 +62,6 @@ func (r *ring) pop() (queued, bool) {
 		return queued{}, false
 	}
 	q := r.buf[r.head]
-	r.buf[r.head] = queued{} // release the packet pointer
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return q, true

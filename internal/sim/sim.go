@@ -339,7 +339,7 @@ func (l *link) transfer(now, bytes float64) float64 {
 	if l == nil || l.bandwidth <= 0 || bytes <= 0 {
 		return now
 	}
-	start := math.Max(now, l.busyUntil)
+	start := max(now, l.busyUntil)
 	hold := bytes / l.bandwidth
 	done := start + hold
 	l.busyUntil = done
@@ -386,6 +386,7 @@ type packet struct {
 
 // node is the runtime state of one vertex.
 type node struct {
+	id       int32 // 1-based index in Simulator.nodes
 	v        core.Vertex
 	kind     core.VertexKind
 	engines  int
@@ -409,20 +410,21 @@ type node struct {
 }
 
 // queued is one waiting request, stored by value in the preallocated ring
-// buffers of queues.go.
+// buffers of queues.go: a packet handle (see Simulator.packets) and its
+// enqueue time.
 type queued struct {
-	p        *packet
+	p        int32
 	enqueued float64
 }
 
 // routeChoice is one outgoing edge with its cumulative routing probability
-// and precomputed transfer byte counts per packet byte. toNode is resolved
-// once in New so the hot path never touches the name→node map, and span
-// is the edge's transfer-span name, built once so depart never allocates.
+// and precomputed transfer byte counts per packet byte. to is the target
+// vertex's index, resolved once in New so the hot path never touches the
+// name map, and span is the edge's transfer-span name, built once so
+// depart never allocates.
 type routeChoice struct {
-	to          string
+	to          int32
 	span        string
-	toNode      *node
 	cum         float64
 	intfPerByte float64 // bytes over interface per packet byte
 	memPerByte  float64 // bytes over memory per packet byte
@@ -447,8 +449,13 @@ type Simulator struct {
 	lastCkpt uint64 // processed count at the last snapshot
 	ckpts    uint64 // snapshots taken by this run, reported via Progress
 
-	nodes     map[string]*node
-	order     []string
+	// nodes is the vertex table in graph vertex order. Events, routes and
+	// ingress shares name a vertex by its 1-based index here (0 for none),
+	// so nothing the event loop writes holds a pointer; byName maps a
+	// vertex name to that index for the cold paths (validation, faults,
+	// checkpoints).
+	nodes     []node
+	byName    map[string]int32
 	intf      *link
 	mem       *link
 	links     map[string]*link // by name: "interface", "memory", "from->to"
@@ -457,7 +464,12 @@ type Simulator struct {
 	metrics   *simMetrics // nil unless Config.Metrics is set
 	packetSeq uint64      // span track ids
 	processed uint64      // events executed, for the events counter
-	free      []*packet   // packet record free list
+	// packets is the packet record table, in blocks: events and queue
+	// records carry a packet's handle (1..npackets) into it, and free
+	// lists the handles of dead records for reuse.
+	packets  []*packetBlock
+	npackets int32
+	free     []int32
 
 	warmEnd float64
 	// measurement accumulators
@@ -470,8 +482,8 @@ type Simulator struct {
 }
 
 type ingressShare struct {
-	n   *node
-	cum float64
+	node int32
+	cum  float64
 }
 
 // New validates the config and precomputes the runtime structure.
@@ -530,12 +542,17 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, errors.New("sim: CheckpointEvery set without a CheckpointSink")
 	}
 	src := newCountingSource(SeedStream(cfg.Seed, engineStreamTag))
+	vertices := g.Vertices()
 	s := &Simulator{
 		cfg:    cfg,
 		rng:    rand.New(src),
 		rngSrc: src,
-		nodes:  map[string]*node{},
+		nodes:  make([]node, len(vertices)),
+		byName: make(map[string]int32, len(vertices)),
 		links:  map[string]*link{},
+	}
+	for i, v := range vertices {
+		s.byName[v.Name] = int32(i + 1)
 	}
 	if cfg.Hardware.InterfaceBW > 0 {
 		s.intf = newLink(cfg.Hardware.InterfaceBW)
@@ -546,8 +563,10 @@ func New(cfg Config) (*Simulator, error) {
 		s.links["memory"] = s.mem
 	}
 
-	for _, v := range g.Vertices() {
-		n := &node{
+	for i, v := range vertices {
+		n := &s.nodes[i]
+		*n = node{
+			id:       int32(i + 1),
 			v:        v,
 			kind:     v.Kind,
 			engines:  v.Parallelism,
@@ -608,7 +627,7 @@ func New(cfg Config) (*Simulator, error) {
 			if i == len(out)-1 {
 				cum = 1 // guard drift
 			}
-			rc := routeChoice{to: e.To, span: "->" + e.To, cum: cum, overhead: v.Overhead}
+			rc := routeChoice{to: s.byName[e.To], span: "->" + e.To, cum: cum, overhead: v.Overhead}
 			ep := edgeP[[2]string{e.From, e.To}]
 			if ep > 0 {
 				rc.intfPerByte = e.Alpha / ep
@@ -620,16 +639,6 @@ func New(cfg Config) (*Simulator, error) {
 				}
 			}
 			n.outEdges = append(n.outEdges, rc)
-		}
-		s.nodes[v.Name] = n
-		s.order = append(s.order, v.Name)
-	}
-	// Second pass: resolve edge targets to node pointers so routing and
-	// JSQ probing never touch the name map on the hot path.
-	for _, name := range s.order {
-		n := s.nodes[name]
-		for i := range n.outEdges {
-			n.outEdges[i].toNode = s.nodes[n.outEdges[i].to]
 		}
 	}
 	// Preallocate the event queue: pending events at any instant are
@@ -654,14 +663,14 @@ func New(cfg Config) (*Simulator, error) {
 		if i == len(ings)-1 {
 			cum = 1
 		}
-		s.ingressPk = append(s.ingressPk, ingressShare{n: s.nodes[name], cum: cum})
+		s.ingressPk = append(s.ingressPk, ingressShare{node: s.byName[name], cum: cum})
 	}
 	s.warmEnd = cfg.Warmup
 	if err := cfg.Faults.validate(s); err != nil {
 		return nil, err
 	}
 	for vertex, rp := range cfg.Retry {
-		if _, ok := s.nodes[vertex]; !ok {
+		if _, ok := s.byName[vertex]; !ok {
 			return nil, fmt.Errorf("sim: retry policy for unknown vertex %q", vertex)
 		}
 		if err := rp.validate(vertex); err != nil {
@@ -705,6 +714,8 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			return Result{}, err
 		}
 		s.gen = gen
+		s.latencies.values = make([]float64, 0, latencyCapacity(
+			float64(s.cfg.Profile.PacketRate())*(s.cfg.Duration-s.warmEnd)))
 		// Seed the arrival pump, then the fault schedule.
 		first := gen.Next()
 		*s.schedule(first.Time, 0) = event{kind: evArrival, a: first.Size, flow: first.Flow}
@@ -764,53 +775,103 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	return s.collect(), nil
 }
 
+// maxLatencyPrealloc caps the latency samples RunContext preallocates
+// (512 KiB of float64s): a long run's estimate may be far larger, and
+// growth past the cap is amortized.
+const maxLatencyPrealloc = 1 << 16
+
+// latencyCapacity is the latency sample slice's initial capacity for an
+// expected delivered-packet count, clamped to [0, maxLatencyPrealloc].
+func latencyCapacity(expected float64) int {
+	if !(expected > 0) {
+		return 0
+	}
+	return int(min(expected, maxLatencyPrealloc))
+}
+
 // rebaseWindows restarts every utilization window at the current time —
 // the warmup-cutoff event's action.
 func (s *Simulator) rebaseWindows() {
 	for _, l := range s.links {
 		l.window(s.now)
 	}
-	for _, n := range s.nodes {
+	for i := range s.nodes {
+		n := &s.nodes[i]
 		n.busyTW.rebase(s.now)
 		n.queueTW.rebase(s.now)
 	}
 }
 
-// newPacket takes a record off the free list (or allocates one) and
-// initializes it as a fresh arrival. Records recycle only after their
-// terminal event (delivery or final drop), so a packet pointer is unique
-// among all in-flight packets.
-func (s *Simulator) newPacket(size float64, flow uint64) *packet {
+// node returns the vertex with the given 1-based index.
+func (s *Simulator) node(id int32) *node { return &s.nodes[id-1] }
+
+// packetBlockLen is the packet table's block size: 32 records of 56
+// bytes fill one 1792-byte allocation size class exactly.
+const packetBlockLen = 32
+
+// packetBlock is one block of the packet table. The table grows a block
+// at a time, so growth copies nothing and records never move: a *packet
+// stays valid for as long as its handle is live.
+type packetBlock [packetBlockLen]packet
+
+// packet returns the packet record with the given handle.
+func (s *Simulator) packet(h int32) *packet {
+	return &s.packets[uint32(h)/packetBlockLen][uint32(h)%packetBlockLen]
+}
+
+// allocPacket extends the packet table by one record and returns its
+// handle. Handle 0 names no packet, so the first block's slot 0 stays
+// unused.
+func (s *Simulator) allocPacket() int32 {
+	s.npackets++
+	if int(s.npackets/packetBlockLen) == len(s.packets) {
+		s.packets = append(s.packets, new(packetBlock))
+	}
+	return s.npackets
+}
+
+// nodeName is the vertex name for an index, "" for 0 (no upstream
+// vertex).
+func (s *Simulator) nodeName(id int32) string {
+	if id == 0 {
+		return ""
+	}
+	return s.node(id).v.Name
+}
+
+// newPacket takes a record off the free list (or extends the table),
+// initializes it as a fresh arrival and returns its handle.
+// Records recycle only after their terminal event (delivery or final
+// drop), so a handle is unique among all in-flight packets.
+func (s *Simulator) newPacket(size float64, flow uint64) int32 {
 	s.packetSeq++
-	var p *packet
+	var h int32
 	if n := len(s.free); n > 0 {
-		p = s.free[n-1]
-		s.free[n-1] = nil
+		h = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		p = new(packet)
+		h = s.allocPacket()
 	}
-	*p = packet{id: s.packetSeq, size: size, born: s.now, flow: flow, measure: s.now >= s.warmEnd}
-	return p
+	*s.packet(h) = packet{id: s.packetSeq, size: size, born: s.now, flow: flow, measure: s.now >= s.warmEnd}
+	return h
 }
 
 // freePacket returns a terminal packet's record to the free list.
-func (s *Simulator) freePacket(p *packet) {
-	s.free = append(s.free, p)
+func (s *Simulator) freePacket(h int32) {
+	s.free = append(s.free, h)
 }
 
 // arrivalPump injects the pending packet and schedules the next arrival.
 func (s *Simulator) arrivalPump(size float64, flow uint64) {
-	p := s.newPacket(size, flow)
-	if p.measure {
+	h := s.newPacket(size, flow)
+	if s.packet(h).measure {
 		s.offeredPackets++
-		s.offeredBytes += p.size
+		s.offeredBytes += size
 	}
 	if s.metrics != nil {
 		s.metrics.offered.Inc()
 	}
-	ing := s.pickIngress()
-	s.arriveAt(ing, nil, p)
+	s.arriveAt(s.node(s.pickIngress()), 0, h)
 
 	next := s.gen.Next()
 	if next.Time <= s.cfg.Duration {
@@ -818,42 +879,43 @@ func (s *Simulator) arrivalPump(size float64, flow uint64) {
 	}
 }
 
-func (s *Simulator) pickIngress() *node {
+func (s *Simulator) pickIngress() int32 {
 	if len(s.ingressPk) == 1 {
-		return s.ingressPk[0].n
+		return s.ingressPk[0].node
 	}
 	u := s.rng.Float64()
 	for _, is := range s.ingressPk {
 		if u <= is.cum {
-			return is.n
+			return is.node
 		}
 	}
-	return s.ingressPk[len(s.ingressPk)-1].n
+	return s.ingressPk[len(s.ingressPk)-1].node
 }
 
-// arriveAt delivers a packet to a vertex; from is the upstream vertex (nil
-// for fresh ingress arrivals).
-func (s *Simulator) arriveAt(n *node, from *node, p *packet) {
+// arriveAt delivers packet h to a vertex; from is the upstream vertex's
+// index (0 for fresh ingress arrivals).
+func (s *Simulator) arriveAt(n *node, from int32, h int32) {
 	name := n.v.Name
+	p := s.packet(h)
 	p.arrived = s.now
 	if p.measure {
 		n.arrivals++
 	}
 	s.trace(TraceArrive, name, p)
 	if n.kind == core.KindEgress {
-		s.complete(n, p)
+		s.complete(n, h)
 		return
 	}
 	if n.meanWork <= 0 && n.timer == nil {
 		// Pure forwarding vertex (ingress or zero-cost IP).
-		s.depart(n, p)
+		s.depart(n, h)
 		return
 	}
 	if s.canStart(n) {
-		s.startService(n, p, 0)
+		s.startService(n, h, 0)
 		return
 	}
-	if !n.queue.push(from.name(), queued{p: p, enqueued: s.now}) {
+	if !n.queue.push(s.nodeName(from), queued{p: h, enqueued: s.now}) {
 		// Full queue: re-issue under the vertex's retry policy, if any
 		// budget remains — modelling a host retrying a rejected DMA or
 		// doorbell — otherwise drop.
@@ -872,7 +934,7 @@ func (s *Simulator) arriveAt(n *node, from *node, p *packet) {
 					exp = 30
 				}
 				backoff := rp.Backoff * math.Pow(2, float64(exp))
-				*s.schedule(s.now+backoff, 0) = event{kind: evArriveAt, node: n, from: from, pkt: p}
+				*s.schedule(s.now+backoff, 0) = event{kind: evArriveAt, node: n.id, from: from, pkt: h}
 				return
 			}
 			s.faults.RetryDrops++
@@ -886,7 +948,7 @@ func (s *Simulator) arriveAt(n *node, from *node, p *packet) {
 		}
 		s.spanVertex(n, p, visitDrop)
 		s.trace(TraceDrop, name, p)
-		s.freePacket(p)
+		s.freePacket(h)
 		return
 	}
 	n.queueTW.set(s.now, float64(n.queue.length()))
@@ -902,9 +964,10 @@ func (s *Simulator) trace(kind TraceKind, vertex string, p *packet) {
 	})
 }
 
-// startService begins serving a packet at a node; wait is its queueing
+// startService begins serving packet h at a node; wait is its queueing
 // delay so far.
-func (s *Simulator) startService(n *node, p *packet, wait float64) {
+func (s *Simulator) startService(n *node, h int32, wait float64) {
+	p := s.packet(h)
 	n.busy++
 	n.busyTW.set(s.now, float64(n.busy)/float64(n.engines))
 	s.trace(TraceServiceStart, n.v.Name, p)
@@ -925,13 +988,14 @@ func (s *Simulator) startService(n *node, p *packet, wait float64) {
 	if svc < 0 {
 		svc = 0
 	}
-	*s.schedule(s.now+svc, 0) = event{kind: evServiceDone, node: n, pkt: p, a: wait, b: svcStart}
+	*s.schedule(s.now+svc, 0) = event{kind: evServiceDone, node: n.id, pkt: h, a: wait, b: svcStart}
 }
 
 // serviceDone completes one engine's service: book the stats, route the
 // packet onward, and pull the next request per the queue discipline —
 // unless the engine was lost or the vertex stalled while this service ran.
-func (s *Simulator) serviceDone(n *node, p *packet, wait, svcStart float64) {
+func (s *Simulator) serviceDone(n *node, h int32, wait, svcStart float64) {
+	p := s.packet(h)
 	if p.measure {
 		n.served++
 		n.waitSum += wait
@@ -939,7 +1003,7 @@ func (s *Simulator) serviceDone(n *node, p *packet, wait, svcStart float64) {
 	n.busy--
 	n.busyTW.set(s.now, float64(n.busy)/float64(n.engines))
 	s.span("service", obs.CatService, p, svcStart, s.now-svcStart, nil)
-	s.depart(n, p)
+	s.depart(n, h)
 	if s.canStart(n) {
 		if q, ok := n.queue.pop(); ok {
 			n.queueTW.set(s.now, float64(n.queue.length()))
@@ -948,14 +1012,15 @@ func (s *Simulator) serviceDone(n *node, p *packet, wait, svcStart float64) {
 	}
 }
 
-// depart routes a packet out of a node and schedules its arrival at the
+// depart routes packet h out of a node and schedules its arrival at the
 // next vertex after overhead and data movement.
-func (s *Simulator) depart(n *node, p *packet) {
+func (s *Simulator) depart(n *node, h int32) {
 	if len(n.outEdges) == 0 {
 		// Validated graphs only hit this at egress, handled in arriveAt.
-		s.complete(n, p)
+		s.complete(n, h)
 		return
 	}
+	p := s.packet(h)
 	s.trace(TraceDepart, n.v.Name, p)
 	s.spanVertex(n, p, visitDepart)
 	rc := s.pickRoute(n, p)
@@ -974,7 +1039,7 @@ func (s *Simulator) depart(n *node, p *packet) {
 	if t > s.now {
 		s.span(rc.span, obs.CatTransfer, p, s.now, t-s.now, nil)
 	}
-	*s.schedule(t, ln) = event{kind: evArriveAt, node: rc.toNode, from: n, pkt: p}
+	*s.schedule(t, ln) = event{kind: evArriveAt, node: rc.to, from: n.id, pkt: h}
 }
 
 // pickRoute chooses the outgoing edge per the vertex's routing policy.
@@ -987,9 +1052,9 @@ func (s *Simulator) pickRoute(n *node, p *packet) *routeChoice {
 	switch n.policy {
 	case RouteJSQ:
 		best := 0
-		bestLoad := out[0].toNode.load()
+		bestLoad := s.node(out[0].to).load()
 		for i := 1; i < len(out); i++ {
-			if l := out[i].toNode.load(); l < bestLoad {
+			if l := s.node(out[i].to).load(); l < bestLoad {
 				best, bestLoad = i, l
 			}
 		}
@@ -1007,14 +1072,6 @@ func (s *Simulator) pickRoute(n *node, p *packet) *routeChoice {
 	return &out[len(out)-1]
 }
 
-// name is the vertex name, "" for a nil node (no upstream vertex).
-func (n *node) name() string {
-	if n == nil {
-		return ""
-	}
-	return n.v.Name
-}
-
 // load is the JSQ metric: requests queued or in service at the vertex.
 func (n *node) load() int {
 	return n.busy + n.queue.length()
@@ -1025,7 +1082,8 @@ func splitmix(x uint64) float64 {
 	return float64(mix64(x)>>11) / float64(1<<53)
 }
 
-func (s *Simulator) complete(n *node, p *packet) {
+func (s *Simulator) complete(n *node, h int32) {
+	p := s.packet(h)
 	s.trace(TraceDeliver, n.v.Name, p)
 	s.spanVertex(n, p, visitDeliver)
 	if s.metrics != nil {
@@ -1037,7 +1095,7 @@ func (s *Simulator) complete(n *node, p *packet) {
 		s.deliveredBytes += p.size
 		s.latencies.add(s.now - p.born)
 	}
-	s.freePacket(p)
+	s.freePacket(h)
 }
 
 func (s *Simulator) collect() Result {
@@ -1068,8 +1126,8 @@ func (s *Simulator) collect() Result {
 		res.Links[name] = l.utilization(s.now)
 	}
 	res.Faults = s.FaultStats()
-	for _, name := range s.order {
-		n := s.nodes[name]
+	for i := range s.nodes {
+		n := &s.nodes[i]
 		vs := VertexStats{
 			Arrivals:     n.arrivals,
 			Served:       n.served,
@@ -1080,7 +1138,7 @@ func (s *Simulator) collect() Result {
 		if n.served > 0 {
 			vs.MeanWait = n.waitSum / float64(n.served)
 		}
-		res.Vertices[name] = vs
+		res.Vertices[n.v.Name] = vs
 	}
 	s.finishObs(res)
 	return res

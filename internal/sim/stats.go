@@ -18,7 +18,11 @@ type sampleSet struct {
 func (s *sampleSet) add(v float64) {
 	s.values = append(s.values, v)
 	s.sum += v
-	s.work = nil
+	if s.work != nil {
+		// Guarded: storing even a nil pointer pays a GC write barrier
+		// while a collection is marking.
+		s.work = nil
+	}
 }
 
 func (s *sampleSet) count() int { return len(s.values) }
