@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"lognic/internal/obs"
+	"lognic/internal/obs/olog"
 	"lognic/internal/obs/slo"
 )
 
@@ -307,4 +310,125 @@ func TestSLOAndBuildInfoMetrics(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// Every request ends in one "request complete" record: debug for a
+// success, warn for a 5xx, with the request's correlation attributes in
+// a fixed order and empty values omitted. The handler runs in-process so
+// the record is written before ServeHTTP returns.
+func TestRequestCompleteRecord(t *testing.T) {
+	serveOnce := func(t *testing.T, cfg Config, level string, hdr map[string]string) (*httptest.ResponseRecorder, string) {
+		t.Helper()
+		var logs bytes.Buffer
+		logger, err := (&olog.Options{Level: level, Format: "json"}).Logger(&logs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Logger = logger
+		s := NewServer(cfg)
+		t.Cleanup(s.Close)
+		req := httptest.NewRequest(http.MethodPost, "/v1/estimate", strings.NewReader(estimateBody(sampleSpec)))
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec, logs.String()
+	}
+	// record returns the one completion record's keys in written order
+	// and its values.
+	record := func(t *testing.T, logs string) ([]string, map[string]any) {
+		t.Helper()
+		var lines []string
+		for _, line := range strings.Split(strings.TrimSpace(logs), "\n") {
+			if strings.Contains(line, `"msg":"request complete"`) {
+				lines = append(lines, line)
+			}
+		}
+		if len(lines) != 1 {
+			t.Fatalf("want one completion record, got %d:\n%s", len(lines), logs)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+			t.Fatalf("not JSON: %v\n%s", err, lines[0])
+		}
+		dec := json.NewDecoder(strings.NewReader(lines[0]))
+		if _, err := dec.Token(); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, key.(string))
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return keys, rec
+	}
+
+	t.Run("ok untenanted", func(t *testing.T) {
+		rec, logs := serveOnce(t, Config{}, "debug", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		keys, r := record(t, logs)
+		want := []string{"time", "level", "msg", olog.KeyRequestID, olog.KeyTraceID, olog.KeyEndpoint, "code", "duration_seconds"}
+		if fmt.Sprint(keys) != fmt.Sprint(want) {
+			t.Fatalf("keys %v, want %v", keys, want)
+		}
+		if r["level"] != "DEBUG" || r[olog.KeyEndpoint] != "estimate" || r["code"] != float64(200) {
+			t.Fatalf("record %v", r)
+		}
+		if id := rec.Header().Get("X-Request-Id"); id == "" || r[olog.KeyRequestID] != id {
+			t.Fatalf("request_id %v, X-Request-Id %q", r[olog.KeyRequestID], id)
+		}
+		if tid, _ := r[olog.KeyTraceID].(string); len(tid) != 32 {
+			t.Fatalf("trace_id %q", tid)
+		}
+		if d, _ := r["duration_seconds"].(float64); d <= 0 {
+			t.Fatalf("duration_seconds %v", r["duration_seconds"])
+		}
+	})
+
+	t.Run("ok tenanted", func(t *testing.T) {
+		cfg := Config{TenantWeights: map[string]float64{"alpha": 1}}
+		rec, logs := serveOnce(t, cfg, "debug", map[string]string{tenantHeader: "alpha"})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		keys, r := record(t, logs)
+		want := []string{"time", "level", "msg", olog.KeyRequestID, olog.KeyTraceID, olog.KeyEndpoint, olog.KeyTenant, "code", "duration_seconds"}
+		if fmt.Sprint(keys) != fmt.Sprint(want) {
+			t.Fatalf("keys %v, want %v", keys, want)
+		}
+		if r[olog.KeyTenant] != "alpha" || r[olog.KeyRequestID] != rec.Header().Get("X-Request-Id") {
+			t.Fatalf("record %v", r)
+		}
+	})
+
+	t.Run("5xx at warn", func(t *testing.T) {
+		rec, logs := serveOnce(t, Config{RequestTimeout: time.Nanosecond, CacheEntries: -1}, "warn", nil)
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body)
+		}
+		_, r := record(t, logs)
+		if r["level"] != "WARN" || r["code"] != float64(http.StatusGatewayTimeout) {
+			t.Fatalf("record %v", r)
+		}
+	})
+
+	t.Run("200 silent at info", func(t *testing.T) {
+		rec, logs := serveOnce(t, Config{}, "info", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if strings.Contains(logs, "request complete") {
+			t.Fatalf("info level logged the completion record:\n%s", logs)
+		}
+	})
 }
