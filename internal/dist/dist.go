@@ -1,8 +1,8 @@
 // Package dist implements the probability machinery LogNIC's traffic
 // handling relies on: discrete packet-size distributions (the dist_size
-// parameter from Table 2 of the paper), and exponential/Poisson samplers
-// used by the discrete-event simulator to realize the M/M/1/N assumptions
-// (Poisson request arrivals, exponential service times).
+// parameter from Table 2 of the paper), and the Poisson inter-arrival
+// sampler the traffic generators use to realize the M/M/1/N assumption of
+// Poisson request arrivals.
 package dist
 
 import (
@@ -24,7 +24,7 @@ type SizePoint struct {
 }
 
 // SizeDist is a discrete distribution over packet sizes. The zero value is
-// invalid; construct with NewSizeDist, Fixed, or Uniform.
+// invalid; construct with NewSizeDist or Fixed.
 type SizeDist struct {
 	points []SizePoint // normalized, sorted by size, cumulative cached
 	cum    []float64
@@ -34,18 +34,6 @@ type SizeDist struct {
 // The size must be positive.
 func Fixed(size unit.Size) (SizeDist, error) {
 	return NewSizeDist([]SizePoint{{Size: size, Weight: 1}})
-}
-
-// Uniform returns a distribution splitting probability equally across the
-// given sizes — the shape of the PANIC traffic profiles in §4.6, which
-// "split bandwidth across different-sized flows equally". All sizes must
-// be positive and at least one is required.
-func Uniform(sizes ...unit.Size) (SizeDist, error) {
-	pts := make([]SizePoint, len(sizes))
-	for i, s := range sizes {
-		pts[i] = SizePoint{Size: s, Weight: 1}
-	}
-	return NewSizeDist(pts)
 }
 
 // NewSizeDist validates and normalizes a set of size points. Duplicate
@@ -165,16 +153,6 @@ func (d SizeDist) ByteWeights() []SizePoint {
 	return out
 }
 
-// Exponential draws an exponentially distributed value with the given mean
-// using the provided RNG. It is the service-time distribution the paper's
-// queueing derivation assumes.
-func Exponential(rng *rand.Rand, mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return rng.ExpFloat64() * mean
-}
-
 // PoissonInterArrival draws the gap until the next arrival of a Poisson
 // process with the given rate (events/second).
 func PoissonInterArrival(rng *rand.Rand, rate float64) float64 {
@@ -182,32 +160,4 @@ func PoissonInterArrival(rng *rand.Rand, rate float64) float64 {
 		return math.Inf(1)
 	}
 	return rng.ExpFloat64() / rate
-}
-
-// PoissonCount draws the number of events of a Poisson process with the
-// given expected count, via inversion for small means and a normal
-// approximation beyond.
-func PoissonCount(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 700 {
-		// Normal approximation with continuity correction; exact inversion
-		// would underflow exp(-mean).
-		v := rng.NormFloat64()*math.Sqrt(mean) + mean + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }

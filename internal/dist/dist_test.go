@@ -31,25 +31,6 @@ func TestFixed(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	d, err := Uniform(64, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := d.Points()
-	if len(pts) != 2 {
-		t.Fatalf("points = %d, want 2", len(pts))
-	}
-	for _, p := range pts {
-		if math.Abs(p.Weight-0.5) > 1e-12 {
-			t.Fatalf("weight = %v, want 0.5", p.Weight)
-		}
-	}
-	if got := float64(d.Mean()); got != 288 {
-		t.Fatalf("Mean = %v, want 288", got)
-	}
-}
-
 func TestNewSizeDistNormalizesAndMerges(t *testing.T) {
 	d, err := NewSizeDist([]SizePoint{
 		{Size: 64, Weight: 2},
@@ -113,7 +94,7 @@ func TestSampleFrequencies(t *testing.T) {
 }
 
 func TestByteWeightsSumToOne(t *testing.T) {
-	d, err := Uniform(64, 512, 1500)
+	d, err := NewSizeDist([]SizePoint{{Size: 64, Weight: 1}, {Size: 512, Weight: 1}, {Size: 1500, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,22 +155,6 @@ func TestMeanWithinSupportProperty(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += Exponential(rng, 2.5)
-	}
-	got := sum / n
-	if math.Abs(got-2.5) > 0.05 {
-		t.Fatalf("exponential mean = %v, want ~2.5", got)
-	}
-	if Exponential(rng, 0) != 0 || Exponential(rng, -1) != 0 {
-		t.Fatal("non-positive mean should yield 0")
-	}
-}
-
 func TestPoissonInterArrival(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 100000
@@ -207,26 +172,8 @@ func TestPoissonInterArrival(t *testing.T) {
 	}
 }
 
-func TestPoissonCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, mean := range []float64{0.5, 4, 50, 2000} {
-		const n = 20000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += float64(PoissonCount(rng, mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-	if PoissonCount(rng, 0) != 0 || PoissonCount(rng, -3) != 0 {
-		t.Fatal("non-positive mean should yield 0 events")
-	}
-}
-
 func TestStringFormat(t *testing.T) {
-	d, err := Uniform(64, 512)
+	d, err := NewSizeDist([]SizePoint{{Size: 64, Weight: 1}, {Size: 512, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"lognic/internal/apps"
 	"lognic/internal/devices"
-	"lognic/internal/fit"
 	"lognic/internal/nvme"
 	"lognic/internal/sim"
 	"lognic/internal/traffic"
@@ -62,34 +61,26 @@ func runNVMeoF(ctx context.Context, cfg apps.NVMeoFConfig, opts Options, base fl
 	return res.Throughput, res.MeanLatency, nil
 }
 
-// CharacterizeSSD reproduces §4.3's opaque-IP remedy: sweep the offered
+// characterizeSSD reproduces §4.3's opaque-IP remedy: sweep the offered
 // rate against the simulated drive (as one would against real hardware,
 // "increasing the IO depth"), ramping geometrically until the delivered
-// throughput stops tracking the offer. The plateau is the fitted Capacity
-// parameter that feeds the model's SSD vertex; the low-load latency is the
-// curve's Base. No internal drive parameter is read — the drive stays
-// opaque. The ramp is inherently sequential (each step decides whether to
-// continue), so it runs inside one sweep task; profIdx keys its RNG
-// streams.
-func CharacterizeSSD(prof fig6Profile, drive nvme.Config, opts Options) (fit.SaturationCurve, error) {
-	return characterizeSSD(context.Background(), prof, drive, opts.withDefaults(), 0)
-}
-
-func characterizeSSD(ctx context.Context, prof fig6Profile, drive nvme.Config, opts Options, profIdx int) (fit.SaturationCurve, error) {
+// throughput stops tracking the offer. The plateau is the capacity that
+// feeds the model's SSD vertex. No internal drive parameter is read — the
+// drive stays opaque. The ramp is inherently sequential (each step decides
+// whether to continue), so it runs inside one sweep task; profIdx keys its
+// RNG streams.
+func characterizeSSD(ctx context.Context, prof fig6Profile, drive nvme.Config, opts Options, profIdx int) (float64, error) {
 	d := devices.StingrayPS1100R()
 	offered := 16e6 // 16 MB/s probe; well under any plausible drive
-	var base, peak float64
+	var peak float64
 	for step := 0; step < 40; step++ {
 		cfg := apps.NVMeoFConfig{
 			Device: d, Drive: drive, Kind: prof.Kind,
 			IOBytes: prof.IOBytes, OfferedBW: offered,
 		}
-		thr, lat, err := runNVMeoF(ctx, cfg, opts, 0.2, opts.seedFor("fig6.ramp", profIdx, step))
+		thr, _, err := runNVMeoF(ctx, cfg, opts, 0.2, opts.seedFor("fig6.ramp", profIdx, step))
 		if err != nil {
-			return fit.SaturationCurve{}, err
-		}
-		if base == 0 && lat > 0 {
-			base = lat
+			return 0, err
 		}
 		if thr > peak {
 			peak = thr
@@ -99,19 +90,19 @@ func characterizeSSD(ctx context.Context, prof fig6Profile, drive nvme.Config, o
 			// the capacity. (The ramp factor is kept small so the
 			// saturating step is only mildly overloaded and the pipeline
 			// stays stationary.)
-			return fit.SaturationCurve{Base: base, Capacity: peak}, nil
+			return peak, nil
 		}
 		offered *= 1.4
 	}
-	return fit.SaturationCurve{}, fmt.Errorf("experiments: %s never saturated", prof.Name)
+	return 0, fmt.Errorf("experiments: %s never saturated", prof.Name)
 }
 
 // fig6Fracs are the load fractions of the Figure 6 sweep.
 var fig6Fracs = []float64{0.2, 0.35, 0.5, 0.65, 0.8, 0.9}
 
 // Fig6 — NVMe-oF latency vs throughput for 4KB-RRD / 128KB-RRD / 4KB-SWR,
-// measured (simulator) vs LogNIC with curve-fitted SSD parameters (§4.3).
-// Two sweep stages: the per-profile characterization ramps run
+// measured (simulator) vs LogNIC with the ramp-characterized SSD capacity
+// (§4.3). Two sweep stages: the per-profile characterization ramps run
 // concurrently, then every (profile, load fraction) pair fans out.
 func Fig6(opts Options) (Figure, error) {
 	opts = opts.withDefaults()
@@ -125,13 +116,13 @@ func Fig6(opts Options) (Figure, error) {
 		XLabel: "Throughput(GB/s)",
 		YLabel: "Latency (us)",
 	}
-	curves, err := sweepObs(ctx, opts, "fig6.ramp", len(profiles),
-		func(ctx context.Context, pi int) (fit.SaturationCurve, error) {
-			curve, err := characterizeSSD(ctx, profiles[pi], drive, opts, pi)
+	capacities, err := sweepObs(ctx, opts, "fig6.ramp", len(profiles),
+		func(ctx context.Context, pi int) (float64, error) {
+			capacity, err := characterizeSSD(ctx, profiles[pi], drive, opts, pi)
 			if err != nil {
-				return fit.SaturationCurve{}, fmt.Errorf("characterize %s: %w", profiles[pi].Name, err)
+				return 0, fmt.Errorf("characterize %s: %w", profiles[pi].Name, err)
 			}
-			return curve, nil
+			return capacity, nil
 		})
 	if err != nil {
 		return Figure{}, err
@@ -140,12 +131,12 @@ func Fig6(opts Options) (Figure, error) {
 	cells, err := sweepObs(ctx, opts, "fig6", len(profiles)*len(fig6Fracs),
 		func(ctx context.Context, ti int) (cell, error) {
 			pi, fi := ti/len(fig6Fracs), ti%len(fig6Fracs)
-			prof, curve := profiles[pi], curves[pi]
-			offered := fig6Fracs[fi] * curve.Capacity
+			prof, capacity := profiles[pi], capacities[pi]
+			offered := fig6Fracs[fi] * capacity
 			cfg := apps.NVMeoFConfig{
 				Device: d, Drive: drive, Kind: prof.Kind,
 				IOBytes: prof.IOBytes, OfferedBW: offered,
-				SSDCapacityOverride: curve.Capacity,
+				SSDCapacityOverride: capacity,
 			}
 			thr, lat, err := runNVMeoF(ctx, cfg, opts, 0.4, opts.seedFor("fig6", pi, fi))
 			if err != nil {

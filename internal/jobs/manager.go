@@ -335,9 +335,9 @@ func (m *Manager) appendLocked(r record) {
 		m.degradeLocked(err)
 		return
 	}
-	timer := m.fsyncH.StartTimer()
+	start := time.Now()
 	err = m.journal.Append(payload)
-	timer.ObserveDuration()
+	m.fsyncH.Observe(time.Since(start).Seconds())
 	if err != nil {
 		m.degradeLocked(err)
 	}
@@ -434,7 +434,7 @@ func (m *Manager) SubmitTrace(kind, id string, body []byte, traceparent string) 
 
 // jobLogger tags the configured logger with one job's identity.
 func (m *Manager) jobLogger(j *job) *slog.Logger {
-	l := olog.WithJob(m.cfg.Logger, j.id).With(olog.KeyComponent, "jobs")
+	l := m.cfg.Logger.With(olog.KeyJobID, j.id, olog.KeyComponent, "jobs")
 	if tc, err := obs.ParseTraceparent(j.trace); err == nil {
 		l = l.With(olog.KeyTraceID, tc.TraceID)
 	}

@@ -10,7 +10,6 @@
 package olog
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -89,53 +88,6 @@ func ParseLevel(s string) (slog.Level, error) {
 // a logger is optional, so call sites never nil-check.
 func Discard() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-}
-
-// WithRequest tags l with the request-scoped attribute set. Empty
-// values are omitted so text output stays tight.
-func WithRequest(l *slog.Logger, requestID, traceID, endpoint, tenant string) *slog.Logger {
-	args := make([]any, 0, 8)
-	if requestID != "" {
-		args = append(args, KeyRequestID, requestID)
-	}
-	if traceID != "" {
-		args = append(args, KeyTraceID, traceID)
-	}
-	if endpoint != "" {
-		args = append(args, KeyEndpoint, endpoint)
-	}
-	if tenant != "" {
-		args = append(args, KeyTenant, tenant)
-	}
-	if len(args) == 0 {
-		return l
-	}
-	return l.With(args...)
-}
-
-// WithJob tags l with a job id.
-func WithJob(l *slog.Logger, jobID string) *slog.Logger {
-	if jobID == "" {
-		return l
-	}
-	return l.With(KeyJobID, jobID)
-}
-
-// logCtxKey keys a logger in a context.Context.
-type logCtxKey struct{}
-
-// NewContext attaches a (typically request-scoped) logger to ctx.
-func NewContext(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, logCtxKey{}, l)
-}
-
-// FromContext returns the logger attached to ctx, or a discard logger —
-// never nil, so deep layers log unconditionally.
-func FromContext(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(logCtxKey{}).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return Discard()
 }
 
 // Fail is the single fatal-path helper for binaries using the

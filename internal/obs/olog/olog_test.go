@@ -28,8 +28,8 @@ func TestJSONLoggerSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l = WithRequest(l, "req-7", "0af7651916cd43dd8448eb211c80319c", "simulate", "acme")
-	l = WithJob(l, "job-3")
+	l = l.With(KeyRequestID, "req-7", KeyTraceID, "0af7651916cd43dd8448eb211c80319c",
+		KeyEndpoint, "simulate", KeyTenant, "acme", KeyJobID, "job-3")
 	l.Info("request done", "code", 200)
 	l.Debug("suppressed")
 
@@ -75,19 +75,6 @@ func TestBadOptionsRejected(t *testing.T) {
 	}
 	if _, err := (&Options{Format: "xml"}).Logger(io.Discard); err == nil {
 		t.Error("bad format accepted")
-	}
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	if got := FromContext(context.Background()); got == nil {
-		t.Fatal("FromContext returned nil")
-	}
-	var buf bytes.Buffer
-	l := slog.New(slog.NewTextHandler(&buf, nil))
-	ctx := NewContext(context.Background(), l)
-	FromContext(ctx).Info("hello")
-	if !strings.Contains(buf.String(), "hello") {
-		t.Fatalf("context logger not used:\n%s", buf.String())
 	}
 }
 

@@ -184,14 +184,10 @@ type Monitor struct {
 
 	mu   sync.Mutex
 	ring []sample
+	last Status // the latest Poll's judgement, read by the gauges
 
 	stop chan struct{}
 	done chan struct{}
-
-	// metric handles, nil when no registry was supplied
-	burnGauge       func(objective, window string) *obs.Gauge
-	complianceGauge func(objective, window string) *obs.Gauge
-	verdictGauge    *obs.Gauge
 }
 
 // NewMonitor builds a monitor. Call Start to begin background polling,
@@ -199,27 +195,49 @@ type Monitor struct {
 func NewMonitor(cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
-	if reg := cfg.Registry; reg != nil {
-		m.burnGauge = func(objective, window string) *obs.Gauge {
-			return reg.Gauge("lognic_slo_burn_rate",
-				"error-budget burn rate per objective and window (1 = exactly on target)",
-				obs.Labels{"objective": objective, "window": window})
-		}
-		m.complianceGauge = func(objective, window string) *obs.Gauge {
-			return reg.Gauge("lognic_slo_compliance",
-				"fraction of requests meeting the objective, per window",
-				obs.Labels{"objective": objective, "window": window})
-		}
-		m.verdictGauge = reg.Gauge("lognic_slo_verdict",
-			"current SLO verdict as a number: 0 ok, 1 warning, 2 critical", nil)
-		reg.Gauge("lognic_slo_target",
-			"configured objective target fraction",
-			obs.Labels{"objective": "availability"}).Set(cfg.AvailabilityTarget)
-		reg.Gauge("lognic_slo_target",
-			"configured objective target fraction",
-			obs.Labels{"objective": "latency"}).Set(cfg.LatencyTarget)
+	if cfg.Registry != nil {
+		m.registerGauges(cfg.Registry)
 	}
 	return m
+}
+
+// registerGauges exports the latest poll's judgement as gauges read at
+// scrape time: the verdict, each objective's burn rate and compliance
+// per window, and the configured targets.
+func (m *Monitor) registerGauges(reg *obs.Registry) {
+	latest := func(read func(Status) float64) func() float64 {
+		return func() float64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return read(m.last)
+		}
+	}
+	reg.GaugeFunc("lognic_slo_verdict",
+		"current SLO verdict as a number: 0 ok, 1 warning, 2 critical", nil,
+		latest(func(st Status) float64 {
+			return map[string]float64{"ok": 0, "warning": 1, "critical": 2}[st.Verdict]
+		}))
+	for i, window := range []time.Duration{m.cfg.ShortWindow, m.cfg.LongWindow} {
+		gauge := func(name, help, objective string, read func(WindowStatus) float64) {
+			reg.GaugeFunc(name, help, obs.Labels{"objective": objective, "window": windowLabel(window)},
+				latest(func(st Status) float64 {
+					if i >= len(st.Windows) {
+						return 0 // before the first poll
+					}
+					return read(st.Windows[i])
+				}))
+		}
+		const burnHelp = "error-budget burn rate per objective and window (1 = exactly on target)"
+		const complianceHelp = "fraction of requests meeting the objective, per window"
+		gauge("lognic_slo_burn_rate", burnHelp, "availability", func(w WindowStatus) float64 { return w.AvailabilityBurn })
+		gauge("lognic_slo_burn_rate", burnHelp, "latency", func(w WindowStatus) float64 { return w.LatencyBurn })
+		gauge("lognic_slo_compliance", complianceHelp, "availability", func(w WindowStatus) float64 { return w.Availability })
+		gauge("lognic_slo_compliance", complianceHelp, "latency", func(w WindowStatus) float64 { return w.LatencyCompliance })
+	}
+	for objective, target := range map[string]float64{"availability": m.cfg.AvailabilityTarget, "latency": m.cfg.LatencyTarget} {
+		reg.GaugeFunc("lognic_slo_target", "configured objective target fraction",
+			obs.Labels{"objective": objective}, func() float64 { return target })
+	}
 }
 
 // Start takes the baseline sample, then launches the background polling
@@ -248,7 +266,8 @@ func (m *Monitor) Close() {
 	<-m.done
 }
 
-// Poll takes one sample now and refreshes the exported gauges.
+// Poll takes one sample now and judges the windows again; the gauges
+// report that judgement until the next poll.
 func (m *Monitor) Poll() {
 	if m.cfg.Source == nil {
 		return
@@ -273,7 +292,9 @@ func (m *Monitor) Poll() {
 	}
 	m.mu.Unlock()
 	st := m.Status()
-	m.export(st)
+	m.mu.Lock()
+	m.last = st
+	m.mu.Unlock()
 }
 
 // windowDelta finds the deltas across the trailing window ending at the
@@ -317,20 +338,6 @@ func (m *Monitor) Status() Status {
 		LatencyThresholdSeconds: m.cfg.LatencyThreshold.Seconds(),
 		Windows:                 windows,
 		Verdict:                 Verdict(windows, m.cfg),
-	}
-}
-
-func (m *Monitor) export(st Status) {
-	if m.verdictGauge == nil {
-		return
-	}
-	level := map[string]float64{"ok": 0, "warning": 1, "critical": 2}
-	m.verdictGauge.Set(level[st.Verdict])
-	for _, w := range st.Windows {
-		m.burnGauge("availability", w.Window).Set(w.AvailabilityBurn)
-		m.burnGauge("latency", w.Window).Set(w.LatencyBurn)
-		m.complianceGauge("availability", w.Window).Set(w.Availability)
-		m.complianceGauge("latency", w.Window).Set(w.LatencyCompliance)
 	}
 }
 

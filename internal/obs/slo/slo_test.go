@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -188,6 +189,24 @@ func TestMonitorExportsGauges(t *testing.T) {
 	}
 	if errs := obs.LintExposition([]byte(out)); errs != nil {
 		t.Fatalf("slo exposition fails lint: %v", errs)
+	}
+}
+
+// The gauges read the latest poll's judgement while the background loop
+// replaces it.
+func TestMonitorGaugesScrapeDuringPolls(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := newFakeFeed()
+	cfg := testConfig(f, reg)
+	cfg.SampleEvery = time.Millisecond
+	m := NewMonitor(cfg)
+	m.Start()
+	defer m.Close()
+	for i := 0; i < 50; i++ {
+		f.add(10, 1, 0)
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -114,31 +114,37 @@ func SizeCredits(build func(credits int) (core.Model, error), maxCredits int, to
 	if tolerance <= 0 {
 		tolerance = 0.01
 	}
-	goodput := func(credits int) (float64, error) {
-		m, err := build(credits)
+	return smallestWithin(build, maxCredits, MaximizeGoodput, func(score, ref float64) bool {
+		// Goodput scores are negated; compare the goodputs themselves.
+		return -score >= (1-tolerance)*-ref
+	})
+}
+
+// smallestWithin is the bounded search behind SizeCredits and
+// TuneUnitParallelism: the smallest k in 1..hi whose goal score is
+// within tolerance of score(hi), as within judges, or hi when none is.
+func smallestWithin(build func(k int) (core.Model, error), hi int, goal Goal, within func(score, ref float64) bool) (int, error) {
+	score := func(k int) (float64, error) {
+		m, err := build(k)
 		if err != nil {
 			return 0, err
 		}
-		v, err := Score(m, MaximizeGoodput)
-		if err != nil {
-			return 0, err
-		}
-		return -v, nil
+		return Score(m, goal)
 	}
-	ref, err := goodput(maxCredits)
+	ref, err := score(hi)
 	if err != nil {
 		return 0, err
 	}
-	for credits := 1; credits <= maxCredits; credits++ {
-		g, err := goodput(credits)
+	for k := 1; k <= hi; k++ {
+		v, err := score(k)
 		if err != nil {
 			return 0, err
 		}
-		if g >= (1-tolerance)*ref {
-			return credits, nil
+		if within(v, ref) {
+			return k, nil
 		}
 	}
-	return maxCredits, nil
+	return hi, nil
 }
 
 // SteerTraffic is the §4.6 scenario-#2 search: the traffic share x ∈
@@ -187,25 +193,7 @@ func TuneUnitParallelism(build func(lanes int) (core.Model, error), maxLanes int
 	if tolerance <= 0 {
 		tolerance = 0.05
 	}
-	lat := func(lanes int) (float64, error) {
-		m, err := build(lanes)
-		if err != nil {
-			return 0, err
-		}
-		return Score(m, MinimizeLatency)
-	}
-	ref, err := lat(maxLanes)
-	if err != nil {
-		return 0, err
-	}
-	for lanes := 1; lanes <= maxLanes; lanes++ {
-		l, err := lat(lanes)
-		if err != nil {
-			return 0, err
-		}
-		if l <= (1+tolerance)*ref {
-			return lanes, nil
-		}
-	}
-	return maxLanes, nil
+	return smallestWithin(build, maxLanes, MinimizeLatency, func(lat, ref float64) bool {
+		return lat <= (1+tolerance)*ref
+	})
 }

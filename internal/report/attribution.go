@@ -6,8 +6,6 @@ package report
 // assert — that both sources blame the same component first.
 
 import (
-	"fmt"
-
 	"lognic/internal/core"
 	"lognic/internal/obs"
 	"lognic/internal/sim"
@@ -61,17 +59,4 @@ func Attribution(m core.Model, res sim.Result) (obs.Report, error) {
 	}
 	offered := res.OfferedRate()
 	return obs.BuildReport(offered, ModelComponents(rep, offered), res.AttributionComponents()), nil
-}
-
-// AttributionMarkdown renders an attribution report as a Markdown section:
-// the aligned table inside a code fence, with the cross-check verdict
-// called out above it.
-func AttributionMarkdown(r obs.Report) string {
-	verdict := "model and simulator disagree on the first-saturating component"
-	if r.Agree {
-		if top, ok := obs.Bottleneck(r.Model); ok {
-			verdict = fmt.Sprintf("model and simulator agree: **%s** (%s) saturates first", top.Name, top.Kind)
-		}
-	}
-	return "### Bottleneck attribution\n\n" + verdict + "\n\n```\n" + r.Format() + "```\n"
 }

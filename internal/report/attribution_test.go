@@ -107,15 +107,3 @@ func TestModelComponentsSkipIngress(t *testing.T) {
 		t.Fatalf("ip1 utilization = %v, want 0.5", comps[0].Utilization)
 	}
 }
-
-func TestAttributionMarkdown(t *testing.T) {
-	r := obs.BuildReport(1e9,
-		[]obs.Component{{Name: "ip1", Kind: obs.KindCompute, Utilization: 0.9, SaturationLoad: 1.1e9}},
-		[]obs.Component{{Name: "ip1", Kind: obs.KindCompute, Utilization: 0.88, SaturationLoad: 1.15e9}})
-	md := AttributionMarkdown(r)
-	for _, want := range []string{"### Bottleneck attribution", "agree", "**ip1**", "```"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}

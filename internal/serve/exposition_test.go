@@ -52,7 +52,7 @@ func TestUntenantedExposition(t *testing.T) {
 	c := ts.Client()
 	unique := func(i int) string {
 		return estimateBody(strings.Replace(sampleSpec,
-			`"ingress_bw": "8Gbps"`, fmt.Sprintf(`"ingress_bw": %d`, 3_000_000_000+i*1_000_000), 1))
+			`"ingress_bw": "8Gbps"`, fmt.Sprintf(`"ingress_bw": %d`, 3_000_000_000+int64(i)*1_000_000), 1))
 	}
 	// missBytes sums the response bodies the cache stored, for the
 	// cache_bytes gauge below.
@@ -214,7 +214,7 @@ func TestTenantedExposition(t *testing.T) {
 	c := ts.Client()
 	unique := func(i int) string {
 		return estimateBody(strings.Replace(sampleSpec,
-			`"ingress_bw": "8Gbps"`, fmt.Sprintf(`"ingress_bw": %d`, 3_000_000_000+i*1_000_000), 1))
+			`"ingress_bw": "8Gbps"`, fmt.Sprintf(`"ingress_bw": %d`, 3_000_000_000+int64(i)*1_000_000), 1))
 	}
 	send := func(tenant, body string) (*http.Response, []byte, error) {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/estimate", strings.NewReader(body))

@@ -502,7 +502,6 @@ type request struct {
 	w         http.ResponseWriter
 	r         *http.Request
 	ten       *tenant
-	log       *slog.Logger
 	start     time.Time
 	tc        obs.TraceContext
 	parent    string // the client's span id, "" for a root
@@ -524,15 +523,10 @@ func (q *request) begin(r *http.Request) {
 	// echoed as X-Request-Id so client logs and server logs correlate.
 	q.tc, q.parent = s.requestTrace(r)
 	q.w.Header().Set("X-Request-Id", q.tc.SpanID)
-	// Tenant resolution: logs carry the claimed name verbatim, metrics
-	// and admission use the resolved bucket (bounded cardinality).
-	claimed := claimedTenant(r)
-	q.ten = s.tenantFor(claimed)
-	if claimed == "" {
-		claimed = q.ten.label
-	}
-	q.log = olog.WithRequest(s.logger, q.tc.SpanID, q.tc.TraceID, q.endpoint, claimed)
-	q.r = r.WithContext(olog.NewContext(obs.ContextWithTrace(r.Context(), q.tc), q.log))
+	// Metrics and admission use the resolved tenant bucket (bounded
+	// cardinality); the completion record carries the claimed name.
+	q.ten = s.tenantFor(claimedTenant(r))
+	q.r = r.WithContext(obs.ContextWithTrace(r.Context(), q.tc))
 }
 
 // finish records the finished request: latency, request count, SLO
@@ -547,7 +541,9 @@ func (q *request) finish() {
 	if q.code >= 500 {
 		lvl = slog.LevelWarn
 	}
-	q.log.Log(q.r.Context(), lvl, "request complete", "code", q.code, "duration_seconds", d.Seconds())
+	if s.logger.Enabled(q.r.Context(), lvl) {
+		q.logComplete(lvl, d)
+	}
 	if s.cfg.Tracer != nil {
 		args := map[string]any{"code": q.code}
 		if q.ten.label != "" {
@@ -565,6 +561,29 @@ func (q *request) finish() {
 			ParentID: q.parent,
 		})
 	}
+}
+
+// logComplete writes the completion record with the request's
+// correlation attributes: the claimed tenant name verbatim (the resolved
+// bucket's label when none was claimed), and empty values omitted.
+func (q *request) logComplete(lvl slog.Level, d time.Duration) {
+	tenant := claimedTenant(q.r)
+	if tenant == "" {
+		tenant = q.ten.label
+	}
+	attrs := make([]slog.Attr, 0, 6)
+	for _, a := range [...]slog.Attr{
+		slog.String(olog.KeyRequestID, q.tc.SpanID),
+		slog.String(olog.KeyTraceID, q.tc.TraceID),
+		slog.String(olog.KeyEndpoint, q.endpoint),
+		slog.String(olog.KeyTenant, tenant),
+	} {
+		if a.Value.String() != "" {
+			attrs = append(attrs, a)
+		}
+	}
+	attrs = append(attrs, slog.Int("code", q.code), slog.Float64("duration_seconds", d.Seconds()))
+	q.s.logger.LogAttrs(q.r.Context(), lvl, "request complete", attrs...)
 }
 
 // fail answers the request with an error status.
