@@ -1,8 +1,8 @@
 package lognic
 
 // This file is the benchmark harness deliverable: one testing.B benchmark
-// per result figure of the paper (regenerating its data through
-// internal/experiments), the ablation benches DESIGN.md calls out, and
+// per study of the paper's evaluation (regenerating its one or two figures
+// through internal/experiments), the ablation benches DESIGN.md calls out, and
 // microbenchmarks of the model's hot paths. Figure benches report a
 // headline value from the regenerated data as a custom metric so `go test
 // -bench` output doubles as a compact reproduction summary; run
@@ -36,24 +36,29 @@ import (
 // serial-vs-parallel win explicitly.
 var benchOpts = experiments.Options{Scale: 0.1, Seed: 1}
 
-// runFigure regenerates a figure b.N times and returns the last result.
-func runFigure(b *testing.B, id string) experiments.Figure {
+// runStudy regenerates the study that emits figure id b.N times and
+// returns the last run's figures keyed by id.
+func runStudy(b *testing.B, id string) map[string]experiments.Figure {
 	b.Helper()
 	// Figure regenerations are event-engine bound: allocs/op is the
 	// engine's headline cost, so report it without requiring -benchmem.
 	b.ReportAllocs()
-	gen, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var fig experiments.Figure
+	var figs map[string]experiments.Figure
 	for i := 0; i < b.N; i++ {
-		fig, err = gen.Run(benchOpts)
+		var err error
+		figs, err = experiments.Regenerate(benchOpts, id)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	return fig
+	return figs
+}
+
+// runFigure regenerates a single-figure study b.N times and returns the
+// last result.
+func runFigure(b *testing.B, id string) experiments.Figure {
+	b.Helper()
+	return runStudy(b, id)[id]
 }
 
 // lastY returns the final point of a named series.
@@ -136,40 +141,23 @@ func BenchmarkFig10PacketSizeSweep(b *testing.B) {
 	b.ReportMetric(lastY(b, fig, "hfa"), "Gbps-hfa@MTU")
 }
 
-func BenchmarkFig11MicroserviceThroughput(b *testing.B) {
-	fig := runFigure(b, "fig11")
-	f12, err := experiments.Fig12(benchOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := experiments.GainsFromFigures(fig, f12)
+func BenchmarkFig11Fig12Microservice(b *testing.B) {
+	figs := runStudy(b, "fig11")
+	g := experiments.GainsFromFigures(figs["fig11"], figs["fig12"])
 	b.ReportMetric(g.ThroughputVsRR*100, "%gain-vs-RR")
 	b.ReportMetric(g.ThroughputVsEqual*100, "%gain-vs-Eq")
-}
-
-func BenchmarkFig12MicroserviceLatency(b *testing.B) {
-	fig := runFigure(b, "fig12")
-	f11, err := experiments.Fig11(benchOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := experiments.GainsFromFigures(f11, fig)
 	b.ReportMetric(g.LatencyVsRR*100, "%saving-vs-RR")
 	b.ReportMetric(g.LatencyVsEqual*100, "%saving-vs-Eq")
 }
 
-func BenchmarkFig13PlacementThroughput(b *testing.B) {
-	fig := runFigure(b, "fig13")
-	arm := lastY(b, fig, "ARM-only")
-	opt := lastY(b, fig, "LogNIC-opt")
+func BenchmarkFig13Fig14Placement(b *testing.B) {
+	figs := runStudy(b, "fig13")
+	arm := lastY(b, figs["fig13"], "ARM-only")
+	opt := lastY(b, figs["fig13"], "LogNIC-opt")
 	b.ReportMetric((opt/arm-1)*100, "%gain-vs-ARM@MTU")
-}
-
-func BenchmarkFig14PlacementLatency(b *testing.B) {
-	fig := runFigure(b, "fig14")
-	arm := lastY(b, fig, "ARM-only")
-	opt := lastY(b, fig, "LogNIC-opt")
-	b.ReportMetric((1-opt/arm)*100, "%saving-vs-ARM@MTU")
+	armL := lastY(b, figs["fig14"], "ARM-only")
+	optL := lastY(b, figs["fig14"], "LogNIC-opt")
+	b.ReportMetric((1-optL/armL)*100, "%saving-vs-ARM@MTU")
 }
 
 func BenchmarkFig15CreditSizing(b *testing.B) {
@@ -182,35 +170,24 @@ func BenchmarkFig15CreditSizing(b *testing.B) {
 	b.ReportMetric(float64(credits["TP1(64/512)"]), "credits-TP1")
 }
 
-func BenchmarkFig16SteeringLatency(b *testing.B) {
-	fig := runFigure(b, "fig16")
-	// Headline: LogNIC latency reduction vs the worst static split at MTU.
-	logn := lastY(b, fig, "LogNIC")
-	worst := lastY(b, fig, "10/70")
-	b.ReportMetric((1-logn/worst)*100, "%saving-vs-10/70@MTU")
+func BenchmarkFig16Fig17Steering(b *testing.B) {
+	figs := runStudy(b, "fig16")
+	// Headline: LogNIC latency reduction and throughput gain vs the worst
+	// static split at MTU.
+	b.ReportMetric((1-lastY(b, figs["fig16"], "LogNIC")/lastY(b, figs["fig16"], "10/70"))*100, "%saving-vs-10/70@MTU")
+	b.ReportMetric((lastY(b, figs["fig17"], "LogNIC")/lastY(b, figs["fig17"], "10/70")-1)*100, "%gain-vs-10/70@MTU")
 }
 
-func BenchmarkFig17SteeringThroughput(b *testing.B) {
-	fig := runFigure(b, "fig17")
-	logn := lastY(b, fig, "LogNIC")
-	worst := lastY(b, fig, "10/70")
-	b.ReportMetric((logn/worst-1)*100, "%gain-vs-10/70@MTU")
-}
-
-func BenchmarkFig18ParallelLatency(b *testing.B) {
-	fig := runFigure(b, "fig18")
+func BenchmarkFig18Fig19Parallelism(b *testing.B) {
+	figs := runStudy(b, "fig18")
 	lanes, err := experiments.Fig18SuggestedLanes()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(lanes["Traffic Profile 1"]), "lanes-tp1")
 	b.ReportMetric(float64(lanes["Traffic Profile 2"]), "lanes-tp2")
-	b.ReportMetric(lastY(b, fig, "Traffic Profile 1"), "us-tp1@8lanes")
-}
-
-func BenchmarkFig19ParallelThroughput(b *testing.B) {
-	fig := runFigure(b, "fig19")
-	b.ReportMetric(lastY(b, fig, "Traffic Profile 1"), "Gbps-tp1@8lanes")
+	b.ReportMetric(lastY(b, figs["fig18"], "Traffic Profile 1"), "us-tp1@8lanes")
+	b.ReportMetric(lastY(b, figs["fig19"], "Traffic Profile 1"), "Gbps-tp1@8lanes")
 }
 
 // BenchmarkSweepSpeedup regenerates the most simulator-heavy inline
@@ -220,10 +197,6 @@ func BenchmarkFig19ParallelThroughput(b *testing.B) {
 // data (asserted here too, cheaply, via Format), so the speedup is free
 // of statistical caveats. On a single-core machine the ratio is ~1.
 func BenchmarkSweepSpeedup(b *testing.B) {
-	gen, err := experiments.ByID("fig9")
-	if err != nil {
-		b.Fatal(err)
-	}
 	serialOpts := benchOpts
 	serialOpts.Workers = 1
 	parallelOpts := benchOpts
@@ -231,13 +204,13 @@ func BenchmarkSweepSpeedup(b *testing.B) {
 	var serial, parallel time.Duration
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		figSerial, err := gen.Run(serialOpts)
+		figSerial, err := experiments.Fig9(serialOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		serial += time.Since(t0)
 		t1 := time.Now()
-		figParallel, err := gen.Run(parallelOpts)
+		figParallel, err := experiments.Fig9(parallelOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,15 +231,11 @@ func BenchmarkSweepSpeedup(b *testing.B) {
 // options.
 func benchFig9Serial(b *testing.B, o experiments.Options) {
 	b.Helper()
-	gen, err := experiments.ByID("fig9")
-	if err != nil {
-		b.Fatal(err)
-	}
 	o.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gen.Run(o); err != nil {
+		if _, err := experiments.Fig9(o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,14 @@
 // Command lognic-bench regenerates the data behind every result figure of
 // the paper's evaluation (§4) and prints each as an aligned table — the
-// same rows and series the paper plots. With no arguments it runs all
-// fourteen figures; otherwise it runs the listed figure ids (fig5, fig6,
-// fig7, fig9..fig19). It also prints the optimizer-suggested
-// configurations the paper quotes as anchors (Figure 9 saturation cores,
-// Figure 15 credits, Figure 18 parallel degrees).
+// same rows and series the paper plots. With no arguments it prints all
+// fourteen figures; otherwise it prints the listed figure ids (fig5, fig6,
+// fig7, fig9..fig19). Figures plotted from one experiment (11/12, 13/14,
+// 16/17, 18/19) come from one study, which runs once however many of its
+// figures are listed. An unknown id or -format is a usage error (exit 2)
+// before anything regenerates. The text format also prints the
+// optimizer-suggested configurations the paper quotes as anchors (Figure 9
+// saturation cores, Figure 15 credits, Figure 18/19 parallel degrees),
+// once per study.
 //
 // Usage:
 //
@@ -12,8 +16,8 @@
 //	lognic-bench -summary [-scale f] [-seed n] [-parallel n]
 //
 // -summary prints the paper-vs-reproduction comparison table recorded in
-// EXPERIMENTS.md (regenerates every figure; takes a few minutes at full
-// scale).
+// EXPERIMENTS.md. It regenerates the seven studies it reads, each once
+// (about 35 s at full scale on 2 vCPUs).
 //
 // Observability: every run ends with a one-line JSON run summary (wall
 // time, sweep points, workers, peak heap from runtime/metrics) on stderr,
@@ -72,7 +76,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulator random seed (0 is a valid seed)")
 	format := flag.String("format", "text", "output format: text, csv or md")
 	summary := flag.Bool("summary", false, "print the paper-vs-reproduction summary table")
-	parallel := flag.Int("parallel", 0, "sweep worker count per figure (0 = GOMAXPROCS); results are identical at any worker count")
+	parallel := flag.Int("parallel", 0, "sweep worker count per study (0 = GOMAXPROCS); results are identical at any worker count")
 	metricsOut := flag.String("metrics", "", "write accumulated metrics (Prometheus text format) to this file")
 	traceOut := flag.String("trace", "", "sample packet spans into this Chrome trace_event file")
 	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /metrics and /runtime on this address while running")
@@ -80,6 +84,21 @@ func main() {
 	logOpts := olog.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	lg = cli.MustLogger("lognic-bench", logOpts)
+	switch *format {
+	case "text", "csv", "md":
+	default:
+		usageError(fmt.Sprintf("unknown -format %q (have: text, csv, md)", *format))
+	}
+	ids := flag.Args()
+	if len(ids) == 0 {
+		for _, st := range experiments.Studies() {
+			ids = append(ids, st.Figures...)
+		}
+	}
+	studies, err := experiments.Resolve(ids...)
+	if err != nil {
+		usageError(err.Error())
+	}
 
 	// The registry is always on: it feeds the run summary's sweep-point
 	// count, and -metrics/-pprof expose it. Attaching it never changes
@@ -148,30 +167,27 @@ func main() {
 		finish(false)
 		return
 	}
-	ids := flag.Args()
-	if len(ids) == 0 {
-		for _, g := range experiments.All() {
-			ids = append(ids, g.ID)
-		}
-	}
 	type outcome struct {
 		fig     experiments.Figure
 		err     error
-		elapsed time.Duration
+		elapsed time.Duration // of the whole study
+		study   string        // the study's first figure id
 	}
-	// Figures run one after another; the parallelism lives inside each
-	// figure's sweep, which keeps the pool bounded by -parallel instead
-	// of multiplying it by the number of figures.
-	results := make([]outcome, len(ids))
-	for i := range ids {
-		g, err := experiments.ByID(ids[i])
-		if err != nil {
-			results[i].err = err
-			continue
-		}
+	// Studies run one after another; the parallelism lives inside each
+	// study's sweep, which keeps the pool bounded by -parallel instead
+	// of multiplying it by the number of studies.
+	results := map[string]outcome{}
+	for _, st := range studies {
 		start := time.Now()
-		fig, err := g.Run(opts)
-		results[i] = outcome{fig: fig, err: err, elapsed: time.Since(start)}
+		figs, err := st.Run(opts)
+		elapsed := time.Since(start)
+		for i, id := range st.Figures {
+			res := outcome{err: err, elapsed: elapsed, study: st.Figures[0]}
+			if err == nil {
+				res.fig = figs[i]
+			}
+			results[id] = res
+		}
 		if heap := cli.HeapBytes(); heap > sum.PeakHeapByte {
 			sum.PeakHeapByte = heap
 		}
@@ -179,8 +195,9 @@ func main() {
 	sum.Figures = ids
 
 	failed := false
-	for i, id := range ids {
-		res := results[i]
+	anchored := map[string]bool{}
+	for _, id := range ids {
+		res := results[id]
 		if res.err != nil {
 			lg.Error("figure failed", olog.KeyComponent, "bench", "figure", id, "error", res.err.Error())
 			failed = true
@@ -193,14 +210,24 @@ func main() {
 			fmt.Println(report.Markdown(res.fig))
 		default:
 			fmt.Printf("%s  (%.1fs)\n%s\n", id, res.elapsed.Seconds(), res.fig.Format())
-			printAnchors(id)
+			if !anchored[res.study] {
+				anchored[res.study] = true
+				printAnchors(res.study)
+			}
 		}
 	}
 	finish(failed)
 }
 
+// usageError reports a bad invocation and exits 2 before anything runs.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "lognic-bench:", msg)
+	fmt.Fprintln(os.Stderr, "usage: lognic-bench [-scale f] [-seed n] [-parallel n] [-format text|csv|md] [fig5 fig9 ...]")
+	os.Exit(2)
+}
+
 // sumGauge totals a gauge family across its label sets (the sweep engine
-// keeps one lognic_sweep_points_done series per figure).
+// keeps one lognic_sweep_points_done series per study sweep).
 func sumGauge(reg *obs.Registry, name string) float64 {
 	var total float64
 	for _, s := range reg.Gather() {
@@ -231,9 +258,9 @@ func emitSummary(sum runSummary, path string) {
 }
 
 // printAnchors emits the optimizer-suggested configurations associated
-// with a figure, when the paper quotes them.
-func printAnchors(id string) {
-	switch id {
+// with a study, named by its first figure id, when the paper quotes them.
+func printAnchors(study string) {
+	switch study {
 	case "fig9":
 		sat, err := experiments.Fig9SaturationCores()
 		if err != nil {
@@ -250,7 +277,7 @@ func printAnchors(id string) {
 		}
 		fmt.Printf("# LogNIC-suggested minimal credits (paper: 5/4/4/4):\n")
 		printIntMap(credits)
-	case "fig18", "fig19":
+	case "fig18":
 		lanes, err := experiments.Fig18SuggestedLanes()
 		if err != nil {
 			lg.Warn("fig18 anchors failed", olog.KeyComponent, "bench", "error", err.Error())

@@ -1,10 +1,10 @@
 // Package experiments regenerates every result figure of the paper's
-// evaluation (§4): each FigNN function reproduces the corresponding
-// figure's data series, pairing "Measured" runs of the discrete-event
-// simulator (this repository's hardware substitute) with "LogNIC"
-// estimates from the analytical model. cmd/lognic-bench prints them, the
-// root bench_test.go wraps them in testing.B benchmarks, and
-// EXPERIMENTS.md records the paper-vs-repo comparison.
+// evaluation (§4): each Study reproduces one experiment's figure data
+// series, pairing "Measured" runs of the discrete-event simulator (this
+// repository's hardware substitute) with "LogNIC" estimates from the
+// analytical model. cmd/lognic-bench prints them, the root bench_test.go
+// wraps them in testing.B benchmarks, and EXPERIMENTS.md records the
+// paper-vs-repo comparison.
 package experiments
 
 import (
@@ -176,39 +176,95 @@ func (f Figure) Format() string {
 	return b.String()
 }
 
-// Generator regenerates one figure.
-type Generator struct {
-	ID   string
-	Name string
-	Run  func(Options) (Figure, error)
+// Study regenerates one experiment of the paper's evaluation. Some
+// experiments are plotted twice, once as throughput and once as latency
+// (Figures 11/12, 13/14, 16/17, 18/19); their study runs the sweep once and
+// emits both figures.
+type Study struct {
+	// Figures are the ids of the figures Run returns, in that order.
+	Figures []string
+	Run     func(Options) ([]Figure, error)
 }
 
-// All returns every figure generator in paper order.
-func All() []Generator {
-	return []Generator{
-		{"fig5", "Accelerator throughput vs data access granularity", Fig5},
-		{"fig6", "NVMe-oF latency vs throughput, three I/O profiles", Fig6},
-		{"fig7", "4KB random IO bandwidth vs read ratio", Fig7},
-		{"fig9", "Throughput vs IP1 parallelism at line rate", Fig9},
-		{"fig10", "Achieved bandwidth vs packet size at line rate", Fig10},
-		{"fig11", "Microservice throughput across allocation schemes", Fig11},
-		{"fig12", "Microservice average latency across allocation schemes", Fig12},
-		{"fig13", "NF chain throughput vs packet size across placements", Fig13},
-		{"fig14", "NF chain average latency vs packet size across placements", Fig14},
-		{"fig15", "PANIC bandwidth vs provisioned credits", Fig15},
-		{"fig16", "PANIC steering latency: static vs LogNIC splits", Fig16},
-		{"fig17", "PANIC steering throughput: static vs LogNIC splits", Fig17},
-		{"fig18", "PANIC latency vs IP4 parallel degree", Fig18},
-		{"fig19", "PANIC throughput vs IP4 parallel degree", Fig19},
+// Studies returns every study, in paper order of the figures they emit.
+func Studies() []Study {
+	return []Study{
+		{[]string{"fig5"}, one(Fig5)},
+		{[]string{"fig6"}, one(Fig6)},
+		{[]string{"fig7"}, one(Fig7)},
+		{[]string{"fig9"}, one(Fig9)},
+		{[]string{"fig10"}, one(Fig10)},
+		{[]string{"fig11", "fig12"}, two(fig1112)},
+		{[]string{"fig13", "fig14"}, two(fig1314)},
+		{[]string{"fig15"}, one(Fig15)},
+		{[]string{"fig16", "fig17"}, two(fig1617)},
+		{[]string{"fig18", "fig19"}, two(fig1819)},
 	}
 }
 
-// ByID returns the generator for a figure id.
-func ByID(id string) (Generator, error) {
-	for _, g := range All() {
-		if g.ID == id {
-			return g, nil
+// one and two adapt a study's figure function to Study.Run.
+func one(run func(Options) (Figure, error)) func(Options) ([]Figure, error) {
+	return func(o Options) ([]Figure, error) {
+		f, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return []Figure{f}, nil
+	}
+}
+
+func two(run func(Options) (Figure, Figure, error)) func(Options) ([]Figure, error) {
+	return func(o Options) ([]Figure, error) {
+		f1, f2, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return []Figure{f1, f2}, nil
+	}
+}
+
+// Resolve returns the studies that emit the given figure ids, each study
+// once, in the order the ids first name them.
+func Resolve(ids ...string) ([]Study, error) {
+	all := Studies()
+	index := map[string]int{}
+	for i, st := range all {
+		for _, id := range st.Figures {
+			index[id] = i
 		}
 	}
-	return Generator{}, fmt.Errorf("experiments: unknown figure %q", id)
+	var out []Study
+	seen := map[int]bool{}
+	for _, id := range ids {
+		i, ok := index[id]
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown figure %q", id)
+		}
+		if !seen[i] {
+			seen[i] = true
+			out = append(out, all[i])
+		}
+	}
+	return out, nil
+}
+
+// Regenerate runs each study that emits one of ids once and returns its
+// figures keyed by id. A study's sibling figures come along: asking for
+// fig11 also returns fig12.
+func Regenerate(opts Options, ids ...string) (map[string]Figure, error) {
+	studies, err := Resolve(ids...)
+	if err != nil {
+		return nil, err
+	}
+	figs := map[string]Figure{}
+	for _, st := range studies {
+		out, err := st.Run(opts)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range out {
+			figs[f.ID] = f
+		}
+	}
+	return figs, nil
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"lognic/internal/obs"
 )
 
 // quick runs simulator-backed figures fast; statistical assertions below
@@ -32,25 +35,80 @@ func series(t *testing.T, f Figure, name string) Series {
 }
 
 func TestAllRegistryComplete(t *testing.T) {
-	gens := All()
 	want := []string{"fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19"}
-	if len(gens) != len(want) {
-		t.Fatalf("got %d generators, want %d", len(gens), len(want))
-	}
-	for i, id := range want {
-		if gens[i].ID != id {
-			t.Errorf("generator %d = %s, want %s", i, gens[i].ID, id)
+	var got []string
+	for _, st := range Studies() {
+		if st.Run == nil || len(st.Figures) == 0 {
+			t.Errorf("study %v incomplete", st.Figures)
 		}
-		if gens[i].Run == nil || gens[i].Name == "" {
-			t.Errorf("generator %s incomplete", id)
-		}
+		got = append(got, st.Figures...)
 	}
-	if _, err := ByID("fig5"); err != nil {
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("studies emit %v, want %v once each in paper order", got, want)
+	}
+	studies, err := Resolve("fig12", "fig5", "fig11", "fig12")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ByID("fig99"); err == nil {
+	var firsts []string
+	for _, st := range studies {
+		firsts = append(firsts, st.Figures[0])
+	}
+	if strings.Join(firsts, " ") != "fig11 fig5" {
+		t.Fatalf("Resolve(fig12 fig5 fig11 fig12) = studies %v, want [fig11 fig5]", firsts)
+	}
+	if _, err := Resolve("fig5", "fig99"); err == nil {
 		t.Fatal("unknown id should fail")
+	}
+}
+
+// TestRegenerateRunsEachStudyOnce regenerates all fourteen figures with a
+// registry attached: every study's sweep must run exactly once, so each
+// lognic_sweep_points_total series equals that study's task count.
+func TestRegenerateRunsEachStudyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every figure")
+	}
+	reg := obs.NewRegistry()
+	var ids []string
+	for _, st := range Studies() {
+		ids = append(ids, st.Figures...)
+	}
+	figs, err := Regenerate(Options{Scale: 0.02, Seed: 1, Metrics: reg}, ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if figs[id].ID != id {
+			t.Errorf("figure %s missing (got id %q)", id, figs[id].ID)
+		}
+	}
+	// Every sweep's task count, from the figures' grids. A study run
+	// twice would double its series (fig1112 would read 10).
+	want := map[string]float64{
+		"fig5":         4,      // accelerators
+		"fig6.ramp":    3,      // I/O profiles
+		"fig6":         3 * 6,  // profiles × load fractions
+		"fig7":         11,     // read ratios
+		"fig9":         3 * 16, // engines × cores
+		"fig10":        6,      // accelerators
+		"fig1112":      5,      // E3 workloads
+		"fig1314":      6,      // packet sizes
+		"fig15.prep":   4,      // traffic profiles
+		"fig15":        4 * 8,  // profiles × credits
+		"fig1617.prep": 3,      // packet sizes
+		"fig1617":      3 * 5,  // sizes × splits
+		"fig1819":      2 * 8,  // profiles × lanes
+	}
+	got := map[string]float64{}
+	for _, s := range reg.Gather() {
+		if s.Name == "lognic_sweep_points_total" {
+			got[s.Labels["fig"]] = s.Value
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("lognic_sweep_points_total by fig = %v, want %v", got, want)
 	}
 }
 
@@ -223,11 +281,7 @@ func TestFig11Fig12Gains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed figure")
 	}
-	f11, err := Fig11(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f12, err := Fig12(quick)
+	f11, f12, err := fig1112(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +310,7 @@ func TestFig13Fig14PlacementCrossover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed figure")
 	}
-	f13, err := Fig13(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f14, err := Fig14(quick)
+	f13, f14, err := fig1314(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +393,7 @@ func TestFig16Fig17SteeringWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed figure")
 	}
-	f16, err := Fig16(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f17, err := Fig17(quick)
+	f16, f17, err := fig1617(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +419,7 @@ func TestFig18Fig19ParallelismShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed figure")
 	}
-	f18, err := Fig18(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f19, err := Fig19(quick)
+	f18, f19, err := fig1819(quick)
 	if err != nil {
 		t.Fatal(err)
 	}

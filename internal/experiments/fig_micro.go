@@ -60,10 +60,12 @@ func microserviceSchemes(ctx context.Context, d devices.LiquidIO2, chain apps.Se
 	return thr, lat, nil
 }
 
-// fig1112 runs the case-study-#3 comparison once and splits it into the
-// two figures. The five E3 workloads fan out over the sweep pool; the
-// three schemes of one workload stay sequential inside its task (they
-// share the workload's optimizer output).
+// fig1112 runs the case-study-#3 comparison once (§4.4): Figure 11 is
+// microservice throughput (MRPS) and Figure 12 average latency (ms) for
+// the five E3 workloads under Round-Robin / Equal-Partition / LogNIC-Opt
+// core allocation. The workloads fan out over the sweep pool; the three
+// schemes of one workload stay sequential inside its task (they share the
+// workload's optimizer output).
 func fig1112(opts Options) (Figure, Figure, error) {
 	opts = opts.withDefaults()
 	d := devices.LiquidIO2CN2360()
@@ -102,19 +104,6 @@ func fig1112(opts Options) (Figure, Figure, error) {
 		}
 	}
 	return f11, f12, nil
-}
-
-// Fig11 — microservice throughput (MRPS) for the five E3 workloads under
-// Round-Robin / Equal-Partition / LogNIC-Opt core allocation (§4.4).
-func Fig11(opts Options) (Figure, error) {
-	f11, _, err := fig1112(opts)
-	return f11, err
-}
-
-// Fig12 — microservice average latency (ms) for the same setups (§4.4).
-func Fig12(opts Options) (Figure, error) {
-	_, f12, err := fig1112(opts)
-	return f12, err
 }
 
 // MicroserviceGains summarizes the Figure 11/12 improvements the way the

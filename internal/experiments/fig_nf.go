@@ -83,8 +83,10 @@ func nfSchemes(ctx context.Context, d devices.BlueField2, chain []apps.NF, size 
 	return thr, lat, nil
 }
 
-// fig1314 runs the case-study-#4 comparison once and splits it. The six
-// packet sizes fan out over the sweep pool.
+// fig1314 runs the case-study-#4 comparison once (§4.5): Figure 13 is NF
+// chain throughput (Gbps) and Figure 14 average latency (µs) vs packet
+// size for ARM-only / Accelerator-only / LogNIC-opt placement on the
+// BlueField-2. The six packet sizes fan out over the sweep pool.
 func fig1314(opts Options) (Figure, Figure, error) {
 	opts = opts.withDefaults()
 	d := devices.BlueField2DPU()
@@ -123,18 +125,4 @@ func fig1314(opts Options) (Figure, Figure, error) {
 		}
 	}
 	return f13, f14, nil
-}
-
-// Fig13 — NF chain throughput (Gbps) vs packet size for ARM-only /
-// Accelerator-only / LogNIC-opt placement on the BlueField-2 (§4.5).
-func Fig13(opts Options) (Figure, error) {
-	f13, _, err := fig1314(opts)
-	return f13, err
-}
-
-// Fig14 — NF chain average latency (µs) vs packet size for the same
-// placements (§4.5).
-func Fig14(opts Options) (Figure, error) {
-	_, f14, err := fig1314(opts)
-	return f14, err
 }

@@ -183,8 +183,9 @@ func panicM2Offer(d devices.PANIC, size float64) (float64, error) {
 	return 0.8 * sat.Attainable, nil
 }
 
-// fig1617 runs the steering comparison once: per packet size, the four
-// static splits plus the LogNIC-suggested one, measured by simulation.
+// fig1617 runs the §4.6 scenario-#2 steering comparison once: per packet
+// size, the four static splits plus the LogNIC-suggested one, measured by
+// simulation. Figure 16 plots Model-2 latency, Figure 17 throughput.
 // Stage 1 derives each size's offered load and optimizer-suggested split
 // (model-only, fanned out per size); stage 2 fans every (size, split)
 // replication out over the pool.
@@ -269,19 +270,6 @@ func fig1617(opts Options) (Figure, Figure, error) {
 	return f16, f17, nil
 }
 
-// Fig16 — PANIC Model-2 latency under static and LogNIC-suggested traffic
-// splits (§4.6 scenario #2).
-func Fig16(opts Options) (Figure, error) {
-	f16, _, err := fig1617(opts)
-	return f16, err
-}
-
-// Fig17 — PANIC Model-2 throughput for the same splits (§4.6 scenario #2).
-func Fig17(opts Options) (Figure, error) {
-	_, f17, err := fig1617(opts)
-	return f17, err
-}
-
 // fig18Traffic are the two Model-3 traffic splits: the fraction of IP1's
 // output continuing to IP3 (the rest joins IP2's traffic at IP4).
 var fig18Traffic = []struct {
@@ -311,8 +299,9 @@ func panicM3(d devices.PANIC, split float64, lanes int) (core.Model, float64, er
 	return m, offered, err
 }
 
-// fig1819 sweeps IP4's parallel degree 1..8 for both traffic profiles;
-// every (profile, lanes) replication is one sweep task.
+// fig1819 sweeps IP4's parallel degree 1..8 for both traffic profiles
+// (§4.6 scenario #3): Figure 18 plots Model-3 latency, Figure 19
+// throughput. Every (profile, lanes) replication is one sweep task.
 func fig1819(opts Options) (Figure, Figure, error) {
 	opts = opts.withDefaults()
 	d := devices.PANICPrototype()
@@ -365,19 +354,6 @@ func fig1819(opts Options) (Figure, Figure, error) {
 		f19.Series = append(f19.Series, s19)
 	}
 	return f18, f19, nil
-}
-
-// Fig18 — PANIC Model-3 latency vs IP4 parallel degree for two traffic
-// splits (§4.6 scenario #3).
-func Fig18(opts Options) (Figure, error) {
-	f18, _, err := fig1819(opts)
-	return f18, err
-}
-
-// Fig19 — PANIC Model-3 throughput for the same sweep (§4.6 scenario #3).
-func Fig19(opts Options) (Figure, error) {
-	_, f19, err := fig1819(opts)
-	return f19, err
 }
 
 // Fig18SuggestedLanes runs the §4.6 scenario-#3 optimizer: the minimal IP4

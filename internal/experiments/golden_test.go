@@ -17,7 +17,7 @@ import (
 	"lognic/internal/simtest"
 )
 
-// goldenScale keeps the 14 × 3 regenerations affordable; figure content at
+// goldenScale keeps the 10 studies × 3 seeds affordable; figure content at
 // this scale is statistically loose but bitwise deterministic, which is
 // all a digest needs.
 const goldenScale = 0.05
@@ -27,20 +27,25 @@ func TestGoldenFigureDigests(t *testing.T) {
 		t.Skip("regenerates every figure three times")
 	}
 	if raceEnabled {
-		t.Skip("42 figure regenerations under the race detector; the raced sim-level golden suite covers the engine")
+		t.Skip("30 study regenerations under the race detector; the raced sim-level golden suite covers the engine")
 	}
 	g := simtest.LoadGolden(t, "testdata/golden_digests.json")
 	defer g.Save(t)
-	for _, gen := range experiments.All() {
+	for _, st := range experiments.Studies() {
 		for _, seed := range []int64{1, 2, 3} {
-			fig, err := gen.Run(experiments.Options{Scale: goldenScale, Seed: seed})
+			figs, err := st.Run(experiments.Options{Scale: goldenScale, Seed: seed})
 			if err != nil {
-				t.Fatalf("%s/seed%d: %v", gen.ID, seed, err)
+				t.Fatalf("%v/seed%d: %v", st.Figures, seed, err)
 			}
-			if len(fig.Series) == 0 {
-				t.Fatalf("%s/seed%d: empty figure", gen.ID, seed)
+			if len(figs) != len(st.Figures) {
+				t.Fatalf("%v/seed%d: got %d figures", st.Figures, seed, len(figs))
 			}
-			g.Check(t, simtest.Key(gen.ID, "seed", seed), simtest.FigureDigest(fig))
+			for i, fig := range figs {
+				if fig.ID != st.Figures[i] || len(fig.Series) == 0 {
+					t.Fatalf("%s/seed%d: got figure %q with %d series", st.Figures[i], seed, fig.ID, len(fig.Series))
+				}
+				g.Check(t, simtest.Key(fig.ID, "seed", seed), simtest.FigureDigest(fig))
+			}
 		}
 	}
 }
@@ -52,15 +57,11 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates a figure twice")
 	}
-	gen, err := experiments.ByID("fig9")
+	serial, err := experiments.Fig9(experiments.Options{Scale: goldenScale, Seed: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := gen.Run(experiments.Options{Scale: goldenScale, Seed: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := gen.Run(experiments.Options{Scale: goldenScale, Seed: 2})
+	parallel, err := experiments.Fig9(experiments.Options{Scale: goldenScale, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

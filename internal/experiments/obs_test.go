@@ -15,19 +15,15 @@ import (
 // host clock, never simulator state, so the figure payload stays
 // byte-identical.
 func TestFigureUnchangedByObservability(t *testing.T) {
-	g, err := ByID("fig9")
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := Options{Scale: 0.05, Seed: 3}
-	bare, err := g.Run(opts)
+	bare, err := Fig9(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obsOpts := opts
 	obsOpts.Metrics = obs.NewRegistry()
 	obsOpts.Trace = obs.NewTracer(0)
-	traced, err := g.Run(obsOpts)
+	traced, err := Fig9(obsOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

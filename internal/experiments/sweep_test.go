@@ -22,23 +22,19 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	}
 	base := Options{Scale: 0.05, Seed: 11}
 	for _, id := range []string{"fig9", "fig15"} {
-		gen, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		serial := base
 		serial.Workers = 1
-		f1, err := gen.Run(serial)
+		f1, err := Regenerate(serial, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parallel := base
 		parallel.Workers = 8
-		f8, err := gen.Run(parallel)
+		f8, err := Regenerate(parallel, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := f8.Format(), f1.Format(); got != want {
+		if got, want := f8[id].Format(), f1[id].Format(); got != want {
 			t.Errorf("%s: output differs between Workers=1 and Workers=8:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s", id, want, got)
 		}
 	}

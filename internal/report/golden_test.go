@@ -16,16 +16,12 @@ import (
 //	go run ./cmd/lognic-bench -format csv fig5 > internal/report/testdata/fig5.golden.csv
 //	go run ./cmd/lognic-bench -format csv fig10 > internal/report/testdata/fig10.golden.csv
 func TestModelOnlyFigureGoldens(t *testing.T) {
+	figs, err := experiments.Regenerate(experiments.Options{}, "fig5", "fig10")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []string{"fig5", "fig10"} {
-		g, err := experiments.ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fig, err := g.Run(experiments.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := CSV(fig)
+		got := CSV(figs[id])
 		goldenPath := filepath.Join("testdata", id+".golden.csv")
 		want, err := os.ReadFile(goldenPath)
 		if err != nil {

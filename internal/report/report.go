@@ -152,19 +152,17 @@ type Row struct {
 }
 
 // Summary computes the headline paper-vs-reproduction comparisons from
-// regenerated figures. Figures are regenerated with the given options;
-// this takes a few minutes at full scale.
+// regenerated figures. Each study it reads is regenerated once with the
+// given options; at full scale that takes about 35 s on 2 vCPUs.
 func Summary(opts experiments.Options) ([]Row, error) {
 	var rows []Row
-	get := func(id string) (experiments.Figure, error) {
-		g, err := experiments.ByID(id)
-		if err != nil {
-			return experiments.Figure{}, err
-		}
-		return g.Run(opts)
+	figs, err := experiments.Regenerate(opts, "fig5", "fig6", "fig7", "fig9",
+		"fig11", "fig12", "fig13", "fig14", "fig16", "fig17")
+	if err != nil {
+		return nil, err
 	}
-	series := func(f experiments.Figure, name string) experiments.Series {
-		for _, s := range f.Series {
+	series := func(id, name string) experiments.Series {
+		for _, s := range figs[id].Series {
 			if s.Name == name {
 				return s
 			}
@@ -174,13 +172,9 @@ func Summary(opts experiments.Options) ([]Row, error) {
 	pct := func(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 
 	// Figure 5: interconnect-ceiling fractions at 16KB.
-	f5, err := get("fig5")
-	if err != nil {
-		return nil, err
-	}
 	var fracs []string
 	for _, name := range []string{"crc", "3des", "md5", "hfa"} {
-		s := series(f5, name)
+		s := series("fig5", name)
 		fracs = append(fracs, pct(s.Points[len(s.Points)-1].Y/s.Points[0].Y))
 	}
 	rows = append(rows, Row{
@@ -191,12 +185,8 @@ func Summary(opts experiments.Options) ([]Row, error) {
 	})
 
 	// Figure 6: model-vs-measured latency error per profile.
-	f6, err := get("fig6")
-	if err != nil {
-		return nil, err
-	}
 	for i, prof := range []string{"4KB-RRD", "128KB-RRD", "4KB-SWR"} {
-		e := MeanRelError(series(f6, prof+"-LogNIC"), series(f6, prof+"-Measured"))
+		e := MeanRelError(series("fig6", prof+"-LogNIC"), series("fig6", prof+"-Measured"))
 		paper := []string{"0.89%", "0.24%", "2.75%"}[i]
 		rows = append(rows, Row{
 			Figure: "fig6", Metric: "mean latency estimation error, " + prof,
@@ -206,12 +196,8 @@ func Summary(opts experiments.Options) ([]Row, error) {
 	}
 
 	// Figure 7: model underprediction across the mixed region.
-	f7, err := get("fig7")
-	if err != nil {
-		return nil, err
-	}
-	rdM, wrM := series(f7, "RD-Measured"), series(f7, "WR-Measured")
-	rdL, wrL := series(f7, "RD-LogNIC"), series(f7, "WR-LogNIC")
+	rdM, wrM := series("fig7", "RD-Measured"), series("fig7", "WR-Measured")
+	rdL, wrL := series("fig7", "RD-LogNIC"), series("fig7", "WR-LogNIC")
 	var worst float64
 	for i := range rdM.Points {
 		meas := rdM.Points[i].Y + wrM.Points[i].Y
@@ -239,26 +225,14 @@ func Summary(opts experiments.Options) ([]Row, error) {
 		Repro: fmt.Sprintf("%d / %d / %d", sat["md5"], sat["kasumi"], sat["hfa"]),
 		Note:  "exact",
 	})
-	f9, err := get("fig9")
-	if err != nil {
-		return nil, err
-	}
-	e9 := MeanRelError(series(f9, "md5-LogNIC"), series(f9, "md5-Measured"))
+	e9 := MeanRelError(series("fig9", "md5-LogNIC"), series("fig9", "md5-Measured"))
 	rows = append(rows, Row{
 		Figure: "fig9", Metric: "mean throughput estimation error (md5 sweep)",
 		Paper: "<0.1%", Repro: pct(e9), Note: "",
 	})
 
 	// Figures 11/12: allocation-scheme gains.
-	f11, err := get("fig11")
-	if err != nil {
-		return nil, err
-	}
-	f12, err := get("fig12")
-	if err != nil {
-		return nil, err
-	}
-	g := experiments.GainsFromFigures(f11, f12)
+	g := experiments.GainsFromFigures(figs["fig11"], figs["fig12"])
 	rows = append(rows,
 		Row{Figure: "fig11", Metric: "LogNIC-Opt throughput gain vs RR / Equal",
 			Paper: "34.8% / 36.4%",
@@ -270,24 +244,16 @@ func Summary(opts experiments.Options) ([]Row, error) {
 	)
 
 	// Figures 13/14: placement gains.
-	f13, err := get("fig13")
-	if err != nil {
-		return nil, err
-	}
-	f14, err := get("fig14")
-	if err != nil {
-		return nil, err
-	}
 	rows = append(rows,
 		Row{Figure: "fig13", Metric: "LogNIC-opt throughput gain vs ARM-only / Accel-only",
 			Paper: "81.9% / 21.7%",
-			Repro: pct(MeanGain(series(f13, "LogNIC-opt"), series(f13, "ARM-only"))) + " / " +
-				pct(MeanGain(series(f13, "LogNIC-opt"), series(f13, "Accelerator-only"))),
+			Repro: pct(MeanGain(series("fig13", "LogNIC-opt"), series("fig13", "ARM-only"))) + " / " +
+				pct(MeanGain(series("fig13", "LogNIC-opt"), series("fig13", "Accelerator-only"))),
 			Note: "same crossover: ARM wins at 64B, engines at MTU"},
 		Row{Figure: "fig14", Metric: "LogNIC-opt latency saving vs ARM-only / Accel-only",
 			Paper: "37.9% / 27.3%",
-			Repro: pct(MeanSaving(series(f14, "LogNIC-opt"), series(f14, "ARM-only"))) + " / " +
-				pct(MeanSaving(series(f14, "LogNIC-opt"), series(f14, "Accelerator-only"))),
+			Repro: pct(MeanSaving(series("fig14", "LogNIC-opt"), series("fig14", "ARM-only"))) + " / " +
+				pct(MeanSaving(series("fig14", "LogNIC-opt"), series("fig14", "Accelerator-only"))),
 			Note: ""},
 	)
 
@@ -312,20 +278,12 @@ func Summary(opts experiments.Options) ([]Row, error) {
 	})
 
 	// Figures 16/17: steering wins.
-	f16, err := get("fig16")
-	if err != nil {
-		return nil, err
-	}
-	f17, err := get("fig17")
-	if err != nil {
-		return nil, err
-	}
 	rows = append(rows,
 		Row{Figure: "fig16", Metric: "LogNIC latency saving vs worst static split (10/70)",
-			Paper: "57.2% (vs worst)", Repro: pct(MeanSaving(series(f16, "LogNIC"), series(f16, "10/70"))),
+			Paper: "57.2% (vs worst)", Repro: pct(MeanSaving(series("fig16", "LogNIC"), series("fig16", "10/70"))),
 			Note: "LogNIC beats every static split on every profile"},
 		Row{Figure: "fig17", Metric: "LogNIC throughput gain vs worst static split (10/70)",
-			Paper: "159.1% (vs worst)", Repro: pct(MeanGain(series(f17, "LogNIC"), series(f17, "10/70"))),
+			Paper: "159.1% (vs worst)", Repro: pct(MeanGain(series("fig17", "LogNIC"), series("fig17", "10/70"))),
 			Note: ""},
 	)
 
