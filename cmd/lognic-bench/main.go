@@ -13,11 +13,13 @@
 // Usage:
 //
 //	lognic-bench [-scale f] [-seed n] [-parallel n] [-format text|csv|md] [fig5 fig9 ...]
-//	lognic-bench -summary [-scale f] [-seed n] [-parallel n]
+//	lognic-bench -summary [-scale f] [-seed n] [-parallel n] [-format md]
 //
 // -summary prints the paper-vs-reproduction comparison table recorded in
 // EXPERIMENTS.md. It regenerates the seven studies it reads, each once
-// (about 35 s at full scale on 2 vCPUs).
+// (about 35 s at full scale on 2 vCPUs). The table is Markdown and covers
+// a fixed set of figures, so -summary with figure ids, or with -format set
+// to anything but md, is a usage error.
 //
 // Observability: every run ends with a one-line JSON run summary (wall
 // time, sweep points, workers, peak heap from runtime/metrics) on stderr,
@@ -84,10 +86,10 @@ func main() {
 	logOpts := olog.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	lg = cli.MustLogger("lognic-bench", logOpts)
-	switch *format {
-	case "text", "csv", "md":
-	default:
-		usageError(fmt.Sprintf("unknown -format %q (have: text, csv, md)", *format))
+	formatSet := false
+	flag.Visit(func(f *flag.Flag) { formatSet = formatSet || f.Name == "format" })
+	if err := checkArgs(*summary, *format, formatSet, flag.Args()); err != nil {
+		usageError(err.Error())
 	}
 	ids := flag.Args()
 	if len(ids) == 0 {
@@ -219,10 +221,33 @@ func main() {
 	finish(failed)
 }
 
+// checkArgs reports a usage error in the arguments other than figure
+// ids, which experiments.Resolve checks: an unknown format, or -summary
+// together with figure ids or with an explicitly set format other than
+// md.
+func checkArgs(summary bool, format string, formatSet bool, ids []string) error {
+	switch format {
+	case "text", "csv", "md":
+	default:
+		return fmt.Errorf("unknown -format %q (have: text, csv, md)", format)
+	}
+	if !summary {
+		return nil
+	}
+	if len(ids) > 0 {
+		return fmt.Errorf("-summary takes no figure ids, got %q", ids)
+	}
+	if formatSet && format != "md" {
+		return fmt.Errorf("-summary prints only md, got -format %q", format)
+	}
+	return nil
+}
+
 // usageError reports a bad invocation and exits 2 before anything runs.
 func usageError(msg string) {
 	fmt.Fprintln(os.Stderr, "lognic-bench:", msg)
 	fmt.Fprintln(os.Stderr, "usage: lognic-bench [-scale f] [-seed n] [-parallel n] [-format text|csv|md] [fig5 fig9 ...]")
+	fmt.Fprintln(os.Stderr, "       lognic-bench -summary [-scale f] [-seed n] [-parallel n] [-format md]")
 	os.Exit(2)
 }
 

@@ -275,8 +275,8 @@ func (s *Simulator) snapshot() *Checkpoint {
 		return i
 	}
 
-	// Events, heap and lanes together, in (time, seq) order: a sorted
-	// array is a valid heap, so Resume loads it as is.
+	// Events, run, heap and lanes together, in (time, seq) order: a
+	// sorted array is a valid heap, so Resume loads it as is.
 	keys := s.events.pending()
 	ck.Events = make([]EventState, len(keys))
 	for i, k := range keys {

@@ -107,6 +107,58 @@ func TestCheckpointResumeEveryPoint(t *testing.T) {
 	}
 }
 
+// The 64-tenant mesh holds hundreds of pending events, far more than
+// the event queue's run, so its snapshots are taken with the run
+// overflowed into the heap. A resume from a mid-run one, which loads every
+// event into the heap with the run empty, digests identically to the
+// uninterrupted run.
+func TestCheckpointResumeMesh(t *testing.T) {
+	cfg, err := sim.MeshConfig(64, 0.7, 1, 2e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := simtest.ResultDigest(base)
+
+	var s *sim.Simulator
+	var cks [][]byte
+	var inHeap []int
+	cfg.CheckpointEvery = 20000
+	cfg.CheckpointSink = func(c *sim.Checkpoint) error {
+		b, err := c.Encode()
+		if err != nil {
+			return err
+		}
+		cks = append(cks, b)
+		inHeap = append(inHeap, s.QueuedInHeap())
+		return nil
+	}
+	if s, err = sim.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cks) < 2 {
+		t.Fatalf("%d checkpoints, want at least 2", len(cks))
+	}
+	i := len(cks) / 2
+	ck, err := sim.DecodeCheckpoint(cks[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inHeap[i] == 0 {
+		t.Fatalf("checkpoint %d/%d holds %d events, none of them in the heap: the run did not overflow",
+			i+1, len(cks), len(ck.Events))
+	}
+	if got := simtest.ResultDigest(resumeFrom(t, cfg, cks[i])); got != want {
+		t.Errorf("resume from checkpoint %d/%d digests %s, uninterrupted %s", i+1, len(cks), got, want)
+	}
+}
+
 // The checkpointing run itself (sink enabled) must not perturb the
 // simulation: its result digests identically to a bare run.
 func TestCheckpointSinkIsObserverOnly(t *testing.T) {

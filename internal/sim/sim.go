@@ -746,7 +746,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		}
 		if s.cfg.CheckpointEvery > 0 && s.processed > s.lastCkpt &&
 			s.processed%s.cfg.CheckpointEvery == 0 {
-			// Snapshot between events: the heap holds every future event,
+			// Snapshot between events: the queue holds every future event,
 			// so the captured state is exactly the state an uninterrupted
 			// run passes through here.
 			s.lastCkpt = s.processed
